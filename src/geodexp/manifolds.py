@@ -98,6 +98,7 @@ class CurvatureBundle:
 
     point: np.ndarray
     gamma: np.ndarray     # Gamma^a_{bc}
+    dgamma: np.ndarray    # d_c Gamma^a_{bd}, indexed [c, a, b, d]
     riemann: np.ndarray   # R^a_{bcd}
     ricci: np.ndarray     # R_{ab} = R^c_{acb}
 
@@ -249,6 +250,18 @@ class ManifoldSpec:
                       + np.einsum("ad,cdb->abc", h_inv, dh)
                       - np.einsum("ad,dbc->abc", h_inv, dh))
 
+    @staticmethod
+    def _dchristoffel_from(h_inv, dh, ddh):
+        # d_c Gamma^a_{bd} [c, a, b, d] by the chain rule
+        # d_c h^{ae} = -h^{af} (d_c h_fg) h^{ge}
+        dh_inv = -np.einsum("af,cfg,ge->cae", h_inv, dh, h_inv)
+        # bracket_{e b d} = d_b h_ed + d_d h_eb - d_e h_bd
+        bracket = np.einsum("bed->ebd", dh) + np.einsum("deb->ebd", dh) - dh
+        # d_c bracket_{e b d} = dd_{cb} h_ed + dd_{cd} h_eb - dd_{ce} h_bd
+        dbracket = np.einsum("cbed->cebd", ddh) + np.einsum("cdeb->cebd", ddh) - ddh
+        return 0.5 * (np.einsum("cae,ebd->cabd", dh_inv, bracket)
+                      + np.einsum("ae,cebd->cabd", h_inv, dbracket))
+
     def christoffel(self, x):
         """Gamma^a_{bc} at x."""
         return self._christoffel_from(self.inverse_metric(x), self.d_metric(x))
@@ -259,19 +272,8 @@ class ManifoldSpec:
         Assembled by the chain rule from first and second metric derivatives,
         so its accuracy tracks the underlying derivative source.
         """
-        h_inv = self.inverse_metric(x)
-        dh = self.d_metric(x)
-        ddh = self.dd_metric(x)
-        # d_c h^{ae} = -h^{af} (d_c h_fg) h^{ge}
-        dh_inv = -np.einsum("af,cfg,ge->cae", h_inv, dh, h_inv)
-        # bracket_{e b d} = d_b h_ed + d_d h_eb - d_e h_bd
-        bracket = (np.einsum("bed->ebd", dh) + np.einsum("deb->ebd", dh)
-                   - np.einsum("ebd->ebd", dh))
-        # d_c bracket_{e b d} = dd_{cb} h_ed + dd_{cd} h_eb - dd_{ce} h_bd
-        dbracket = (np.einsum("cbed->cebd", ddh) + np.einsum("cdeb->cebd", ddh)
-                    - np.einsum("cebd->cebd", ddh))
-        return 0.5 * (np.einsum("cae,ebd->cabd", dh_inv, bracket)
-                      + np.einsum("ae,cebd->cabd", h_inv, dbracket))
+        return self._dchristoffel_from(self.inverse_metric(x), self.d_metric(x),
+                                       self.dd_metric(x))
 
     def curvature_at(self, x, validate=False):
         """Connection and curvature bundle at x.
@@ -298,18 +300,13 @@ class ManifoldSpec:
             dh = (16.0 * self.d_metric(x, step=s / 2) - self.d_metric(x, step=s)) / 15.0
             ddh = (16.0 * self.dd_metric(x, step=s / 2) - self.dd_metric(x, step=s)) / 15.0
         gamma = self._christoffel_from(h_inv, dh)
-        dh_inv = -np.einsum("af,cfg,ge->cae", h_inv, dh, h_inv)
-        bracket = (np.einsum("bed->ebd", dh) + np.einsum("deb->ebd", dh)
-                   - np.einsum("ebd->ebd", dh))
-        dbracket = (np.einsum("cbed->cebd", ddh) + np.einsum("cdeb->cebd", ddh)
-                    - np.einsum("cebd->cebd", ddh))
-        dgamma = 0.5 * (np.einsum("cae,ebd->cabd", dh_inv, bracket)
-                        + np.einsum("ae,cebd->cabd", h_inv, dbracket))
+        dgamma = self._dchristoffel_from(h_inv, dh, ddh)
         riemann = (np.einsum("cabd->abcd", dgamma) - np.einsum("dabc->abcd", dgamma)
                    + np.einsum("ace,ebd->abcd", gamma, gamma)
                    - np.einsum("ade,ebc->abcd", gamma, gamma))
         ricci = np.einsum("cacb->ab", riemann)
-        return CurvatureBundle(point=x, gamma=gamma, riemann=riemann, ricci=ricci)
+        return CurvatureBundle(point=x, gamma=gamma, dgamma=dgamma,
+                               riemann=riemann, ricci=ricci)
 
     def _curvature_ok(self, bundle):
         scale = max(1.0, float(np.max(np.abs(bundle.riemann))))
@@ -419,7 +416,8 @@ def covariant_derivative(manifold, v, x, order=1, curvature=None):
 
     Returns ``D[a, b] = nabla_b v^a`` for order 1 and
     ``DD[a, b, c] = nabla_c nabla_b v^a`` for order 2 (derivative indices
-    appended to the right, outermost derivative last).
+    appended to the right, outermost derivative last).  A ``curvature``
+    bundle, when given, must be the one at x: its Gamma and dGamma enter.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -434,10 +432,9 @@ def covariant_derivative(manifold, v, x, order=1, curvature=None):
     if order == 1:
         return nabla
     hess = v.hessian(x, step)
-    dgamma = manifold.d_christoffel(x)
     # d_c (nabla_b v^a) = d_c d_b v^a + (d_c Gamma^a_{bd}) v^d + Gamma^a_{bd} d_c v^d
-    dnabla = (np.einsum("abc->abc", np.transpose(hess, (0, 1, 2)))
-              + np.einsum("cabd,d->abc", dgamma, val)
+    dnabla = (hess
+              + np.einsum("cabd,d->abc", cb.dgamma, val)
               + np.einsum("abd,dc->abc", cb.gamma, jac))
     # nabla_c T^a_b = d_c T^a_b + Gamma^a_{cd} T^d_b - Gamma^d_{cb} T^a_d
     return (dnabla

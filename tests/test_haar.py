@@ -110,6 +110,77 @@ def test_product_jacobian_euclidean_exact(euclid2):
         assert abs(out["residual"]) < 1e-9
 
 
+def _columnwise_jacobian(grid, V1, V2, side, coeffs=None):
+    """Reference oracle: one pair of full-grid compositions per column."""
+    nd = V1.size
+    scale = max(1.0, float(np.abs(V1).max()), float(np.abs(V2).max()))
+    s = 1e-6 * scale
+    jac = np.empty((nd, nd))
+    flat = (V2 if side == "right" else V1).reshape(-1)
+    for k in range(nd):
+        old = flat[k]
+        flat[k] = old + s
+        fp = haar.compose_field(grid, V1, V2, coeffs=coeffs)
+        flat[k] = old - s
+        fm = haar.compose_field(grid, V1, V2, coeffs=coeffs)
+        flat[k] = old
+        jac[:, k] = (fp - fm).reshape(-1) / (2.0 * s)
+    return jac
+
+
+@pytest.mark.parametrize("points", [8, 12, (8, 12)], ids=["8", "12", "8x12"])
+@pytest.mark.parametrize("kind", ["sphere_normal", "euclidean"])
+def test_coloured_jacobian_matches_columnwise(kind, points):
+    if kind == "sphere_normal":
+        M = mf.sphere_normal(1.0)
+        c1, c2 = np.array([0.01, -0.0065]), np.array([-0.0055, 0.0085])
+    else:
+        M = mf.euclidean(2)
+        c1, c2 = np.array([3e-5, -2e-5]), np.array([-1.5e-5, 2.5e-5])
+    g = haar.FieldGrid(M, np.zeros(2), 0.6, points)
+    coords = g.coords()
+    V1, V2 = haar._sample(c1, coords), haar._sample(c2, coords)
+    for side in ("right", "left"):
+        coeffs = haar._pointwise_coeffs(g, c2) if side == "left" else None
+        ref = _columnwise_jacobian(g, V1, V2, side, coeffs=coeffs)
+        jac = haar._dense_jacobian(g, V1, V2, side, coeffs=coeffs)
+        assert np.array_equal(jac, ref)
+
+
+def test_jacobian_work_counts(sphere_grid, monkeypatch):
+    S, g = sphere_grid
+    calls = []
+    compose = haar.compose_field
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(haar, "compose_field", counting)
+    c1, c2 = np.array([0.01, -0.0065]), np.array([-0.0055, 0.0085])
+    haar.product_jacobian_check(S, g, c1, c2, side="left")
+    assert len(calls) == 2 * g.n + 1          # one colour, plus the formula side
+    calls.clear()
+    haar.product_jacobian_check(S, g, c1, c2, side="right")
+    colours = len(haar._colour_groups(g.shape, "right"))
+    assert colours < g.npoints
+    assert len(calls) == 2 * g.n * colours
+
+
+def test_geometry_takes_dgamma_from_curvature_bundle(monkeypatch):
+    S = mf.sphere_normal(1.0)
+    g = haar.FieldGrid(S, np.zeros(2), 0.6, 8)
+    d_christoffel = S.d_christoffel
+
+    def forbidden(x):
+        raise AssertionError("FieldGrid.geometry recomputed dGamma")
+
+    monkeypatch.setattr(S, "d_christoffel", forbidden)
+    dgamma = g.geometry()["dgamma"]
+    monkeypatch.undo()
+    assert np.array_equal(dgamma[3, 5], d_christoffel(g.coords()[3, 5]))
+
+
 def test_product_jacobian_identity_factor(sphere_grid):
     # v1 = 0 makes the composition the identity in the second factor
     S, g = sphere_grid

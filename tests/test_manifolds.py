@@ -77,6 +77,14 @@ def test_curvature_bundle_invariants(sphere, poincare):
         assert np.abs(cb.ricci - np.einsum("cacb->ab", cb.riemann)).max() < 1e-14
 
 
+def test_curvature_bundle_dgamma_is_d_christoffel(sphere, poincare):
+    polar = mf.from_expression(2, [["1", "0"], ["0", "x0**2"]], name="polar",
+                               lower=(0.2, -10.0), upper=(5.0, 10.0))
+    for M, x in ((sphere, np.array([1.2, 0.5])), (poincare, np.array([0.3, 2.2])),
+                 (polar, np.array([1.5, 0.3]))):
+        assert np.array_equal(M.curvature_at(x).dgamma, M.d_christoffel(x))
+
+
 def test_metric_compatibility_all_builtins():
     # nabla_c h_ab assembled from Gamma vanishes at sampled points
     rng = np.random.Generator(np.random.PCG64(4))
