@@ -72,9 +72,8 @@ def cmd_sweep(args):
 
 def cmd_geodesic(args):
     from . import geodesics as gd
-    from .config import load_config
 
-    config = _apply_overrides(load_config(args.config), args)
+    config = _load(args)
     M = config.manifold()
     tol = config.shoot_tol()
     if args.verb == "shoot":
@@ -181,6 +180,8 @@ def cmd_action(args):
 
 
 def build_parser():
+    from .suites import SUITES, SWEEPS
+
     parser = argparse.ArgumentParser(
         prog="geodexp",
         description="Geodesic-expansion calculus: verification suites, "
@@ -197,14 +198,11 @@ def build_parser():
                        help="ODE oracle tolerance")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=["geodesic", "haar", "immersion", "diffeo",
-                                     "gauge", "action", "all"])
+    p.add_argument("suite", choices=list(SUITES))
     common(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("sweep", help="scale sweep for a named check")
-    from .suites import SWEEPS
-
     p.add_argument("check", choices=list(SWEEPS))
     p.add_argument("--scales", default=None, help="comma-separated scales")
     common(p)

@@ -17,7 +17,6 @@ __all__ = ["RunConfig", "load_config", "default_config"]
 
 _FIELD_SCHEMA = {
     "kind": str,          # fourier | random
-    "components": int,
     "max_mode": int,
     "amplitude": float,
     "seed": int,
@@ -34,7 +33,6 @@ _SCHEMA = {
         "collar": float,
         "y_min": float,
         "period": float,
-        "fd_step": float,
         "expression": {
             "dim": int,
             "entries": list,
@@ -72,7 +70,6 @@ _SCHEMA = {
     "sweep": {"scales": list},
     "grid": {"points": int, "halfwidth": float},
     "tolerances": {"shoot_tol": float, "slope_floor": float},
-    "output": {"csv": str},
 }
 
 

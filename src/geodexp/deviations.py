@@ -118,23 +118,6 @@ class Background:
                     - np.einsum("...dac,...bdm->...abcm", gam_int, Hm))
         return self._cached("cov_gauss_field", build)
 
-    def cov_tangential_vector(self, xi_up):
-        """nabla_b xi^a for an intrinsic vector field."""
-        dxi = self.grid.gradient(xi_up)                  # (*s, b, a)
-        gam = self.immersion.christoffel()
-        return (np.einsum("...ba->...ab", dxi)
-                + np.einsum("...abc,...c->...ab", gam, xi_up))
-
-    def cov2_tangential_vector_sym(self, xi_up):
-        """Symmetrized nabla_b nabla_c xi^a (indices [a, b, c])."""
-        cov1 = self.cov_tangential_vector(xi_up)         # (*s, a, b)
-        dcov = self.grid.gradient(cov1)                  # (*s, c, a, b)
-        gam = self.immersion.christoffel()
-        out = (np.einsum("...cab->...abc", dcov)
-               + np.einsum("...acd,...db->...abc", gam, cov1)
-               - np.einsum("...dcb,...ad->...abc", gam, cov1))
-        return 0.5 * (out + np.einsum("...acb->...abc", out))
-
     def cov_normal_scalar(self, xi_n):
         """nabla_a xi^i for normal-bundle components (connection A)."""
         dxi = self.grid.gradient(xi_n)                   # (*s, a, i)
@@ -342,17 +325,18 @@ def xi_transform(xi, eta, order=3):
     ginv = bg.immersion.metric_inv()
     H = bg.ext.second_form                     # H^i_{ab}
     Hup = np.einsum("...ab,...ibc->...iac", ginv, H)   # H^{i a}_c
+    gam_int = bg.immersion.christoffel()
     terms = {}
 
     out_up = xi_up + e
     terms["eta"] = e
     if order >= 2:
-        cov_xi = bg.cov_tangential_vector(xi_up)        # [a, b] = nabla_b xi^a
+        cov_xi = bg.grid.cov_vector(xi_up, gam_int)     # [a, b] = nabla_b xi^a
         terms["drag_xi"] = np.einsum("...b,...ab->...a", e, cov_xi)
         terms["second_form_mix"] = -np.einsum("...iab,...b,...i->...a", Hup, e, xi_n)
         out_up = out_up + terms["drag_xi"] + terms["second_form_mix"]
     if order >= 3:
-        cov2_xi = bg.cov2_tangential_vector_sym(xi_up)  # [a, b, c]
+        cov2_xi = bg.grid.cov2_vector_sym(xi_up, gam_int)  # [a, b, c]
         terms["drag2_xi"] = 0.5 * np.einsum("...b,...c,...abc->...a", e, e, cov2_xi)
         covH = bg.cov_second_form_up()                  # [i, b, a, c] = nabla_b H^{i a}_c
         terms["second_form_derivative"] = -0.5 * np.einsum(
@@ -410,7 +394,7 @@ def gauge_generator(xi, order=2):
     up = xi.tangential_up()
     e = -up
     if order >= 2:
-        cov_xi = bg.cov_tangential_vector(up)
+        cov_xi = bg.grid.cov_vector(up, bg.immersion.christoffel())
         Hup = np.einsum("...ab,...ibc->...iac", bg.immersion.metric_inv(),
                         bg.ext.second_form)
         e = e + (np.einsum("...b,...ab->...a", up, cov_xi)

@@ -12,16 +12,15 @@ measure truncation orders honestly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ChartDomainError, NoUniqueGeodesicError, StiffnessError
-from .manifolds import ManifoldSpec, Vector, VectorField, constant_field
+from .manifolds import ManifoldSpec, VectorField, constant_field
+from .stencils import partials
 
 __all__ = [
-    "GeodesicExpansion",
     "shoot",
     "log_map",
     "expand3",
@@ -29,28 +28,7 @@ __all__ = [
     "invert3",
     "NormalChart",
     "normal_chart",
-    "estimate_trust_radius",
 ]
-
-
-@dataclass(frozen=True)
-class GeodesicExpansion:
-    """Truncated geodesic expansion: base point, generator, order (1..3).
-
-    A bare vector generator is promoted to the chart-constant field; the
-    affine parameter is internal (the expansion is evaluated at parameter 1).
-    """
-
-    base: np.ndarray
-    generator: object            # VectorField or array-like components
-    order: int = 3
-
-    def generator_field(self):
-        if isinstance(self.generator, VectorField):
-            return self.generator
-        comps = self.generator.components if isinstance(self.generator, Vector) \
-            else self.generator
-        return constant_field(np.asarray(comps, dtype=float))
 
 
 def _geodesic_rhs(manifold):
@@ -183,16 +161,10 @@ def expand3(manifold, x0, v, order=3, trust_radius=None):
     return out, trusted
 
 
-def expand_expansion(manifold, expansion):
-    """Evaluate a GeodesicExpansion object (value of its generator at base)."""
-    gen = expansion.generator_field()(expansion.base)
-    return expand3(manifold, expansion.base, gen, order=expansion.order)
-
-
 def compose3(manifold, x0, v1, v2, curvature=None):
     """Group product of two geodesic expansions through third order.
 
-    ``v1`` is the first generator's value at x0 (array or Vector); ``v2`` is
+    ``v1`` is the first generator's value at x0; ``v2`` is
     the second generator as a VectorField (bare vectors are promoted to
     chart-constant fields).  All quantities are evaluated at x0:
 
@@ -202,7 +174,7 @@ def compose3(manifold, x0, v1, v2, curvature=None):
     from .manifolds import covariant_derivative
 
     x0 = np.asarray(x0, dtype=float)
-    v1 = v1.components if isinstance(v1, Vector) else np.asarray(v1, dtype=float)
+    v1 = np.asarray(v1, dtype=float)
     field = v2 if isinstance(v2, VectorField) else constant_field(v2)
     cb = curvature if curvature is not None else manifold.curvature_at(x0)
     val2 = field(x0)
@@ -277,16 +249,8 @@ class NormalChart:
     def metric(self, y, step=None):
         """Pullback metric h^Y(y) = J^T h(x(y)) J with J = dx/dY by stencil."""
         y = np.asarray(y, dtype=float)
-        n = y.size
         s = step if step is not None else max(1e-4, 2e-3 * self.radius)
-        jac = np.empty((n, n))
-        for b in range(n):
-            acc = 0.0
-            for off, wgt in (( -2, 1/12.), (-1, -8/12.), (1, 8/12.), (2, -1/12.)):
-                yp = y.copy()
-                yp[b] += off * s
-                acc = acc + wgt * self.from_normal(yp)
-            jac[:, b] = acc / s
+        jac = np.ascontiguousarray(partials(self.from_normal, y, s).T)
         h = self.manifold.metric(self.from_normal(y))
         return jac.T @ h @ jac
 
@@ -308,42 +272,3 @@ def normal_chart(manifold, x0, radius=None, tol=1e-11):
     elif math.isfinite(gate) and radius > gate:
         raise ValueError(f"radius {radius} exceeds trust radius {gate:.4g}")
     return NormalChart(manifold, x0, radius, tol=tol)
-
-
-def estimate_trust_radius(manifold, x0, n_directions=6, t_max=None, cond_limit=50.0):
-    """Probe of the shooting-map degeneration scale.
-
-    Shoots along deterministic unit directions with growing parameter until
-    the endpoint Jacobian degenerates (condition number above ``cond_limit``),
-    the chart is exited, or ``t_max`` is reached; returns half the smallest
-    such scale.  Builtins with a known injectivity radius bypass this.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = manifold.dim
-    if t_max is None:
-        t_max = manifold.injectivity_hint or 4.0
-    h_inv_chol = np.linalg.inv(np.linalg.cholesky(manifold.metric(x0))).T
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((n_directions, n))
-    dirs = (h_inv_chol @ (dirs / np.linalg.norm(dirs, axis=1, keepdims=True)).T).T
-    worst = t_max
-    for d in dirs:
-        t, good = 0.125, 0.125
-        while t <= worst:
-            try:
-                jac = np.empty((n, n))
-                step = 1e-5 * t
-                for b in range(n):
-                    dv = np.zeros(n)
-                    dv[b] = step
-                    ep = shoot(manifold, x0, t * d + dv, 1.0, tol=1e-9)
-                    em = shoot(manifold, x0, t * d - dv, 1.0, tol=1e-9)
-                    jac[:, b] = (ep - em) / (2 * step)
-                if np.linalg.cond(jac) > cond_limit:
-                    break
-            except (ChartDomainError, StiffnessError):
-                break
-            good = t
-            t *= 2.0
-        worst = min(worst, good)
-    return 0.5 * worst

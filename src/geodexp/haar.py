@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, LatticeError
-from .manifolds import VectorField, constant_field, covariant_derivative
+from .manifolds import CurvatureBundle, VectorField, constant_field, covariant_derivative
+from .stencils import D1, PeriodicLattice
 
 __all__ = [
     "MeasureWeight",
@@ -56,8 +57,6 @@ __all__ = [
     "normal_metric_expansion_check",
     "diffeo_measure_check",
 ]
-
-_D1 = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,8 @@ def left_log_weight(manifold, x, v, include_volume=False, curvature=None):
                          terms=terms)
 
 
-class FieldGrid:
-    """Periodic uniform lattice over a chart box, with cached geometry.
+class FieldGrid(PeriodicLattice):
+    """Periodic lattice over a chart box, with cached geometry.
 
     The box is centered at ``center`` with half-widths ``halfwidths``;
     nodes are offset half a spacing so the lattice is symmetric about the
@@ -116,53 +115,23 @@ class FieldGrid:
     of shape (*shape, n).
     """
 
-    def __init__(self, manifold, center, halfwidths, points, fd_order=4):
-        if fd_order != 4:
-            raise ValueError("FieldGrid uses 4th-order central differences")
-        self.manifold = manifold
-        self.n = manifold.dim
+    def __init__(self, manifold, center, halfwidths, points):
+        n = manifold.dim
         center = np.asarray(center, dtype=float)
-        halfwidths = np.broadcast_to(np.asarray(halfwidths, dtype=float),
-                                     (self.n,)).copy()
-        points = np.broadcast_to(np.asarray(points, dtype=int), (self.n,)).copy()
+        halfwidths = np.broadcast_to(np.asarray(halfwidths, dtype=float), (n,))
+        points = np.broadcast_to(np.asarray(points, dtype=int), (n,))
         if (points < 8).any():
             raise LatticeError("need at least 8 points per axis")
-        self.center = center
-        self.halfwidths = halfwidths
-        self.shape = tuple(int(p) for p in points)
-        self.spacing = tuple(2.0 * w / p for w, p in zip(halfwidths, points))
-        self.axes = tuple(center[i] - halfwidths[i] + (np.arange(self.shape[i]) + 0.5)
-                          * self.spacing[i] for i in range(self.n))
+        super().__init__(points, periods=2.0 * halfwidths, offsets=(0.5,) * n,
+                         lower=center - halfwidths)
+        self.manifold = manifold
         self._geom = None
-
-    @property
-    def npoints(self):
-        return int(np.prod(self.shape))
-
-    @property
-    def weight(self):
-        return float(np.prod(self.spacing))
-
-    def coords(self):
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
-    def deriv(self, field, axis):
-        dx = self.spacing[axis]
-        field = np.asarray(field, dtype=float)
-        out = np.zeros_like(field)
-        for off, wgt in _D1:
-            out += wgt * np.roll(field, -off, axis=axis)
-        return out / dx
-
-    def gradient(self, field):
-        return np.stack([self.deriv(field, ax) for ax in range(self.n)], axis=self.n)
 
     def geometry(self):
         """Cached per-point h, log|h|, Gamma, dGamma, Riemann, Ricci."""
         if self._geom is None:
-            pts = self.coords().reshape(-1, self.n)
-            n = self.n
+            pts = self.coords().reshape(-1, self.d)
+            n = self.d
             h = np.empty((len(pts), n, n))
             logh = np.empty(len(pts))
             gam = np.empty((len(pts), n, n, n))
@@ -187,6 +156,15 @@ class FieldGrid:
             }
         return self._geom
 
+    def bundles(self):
+        """Yield ``(point, CurvatureBundle)`` per site in C order; the bundle
+        arrays are views of the cached geometry, not recomputations."""
+        geom = self.geometry()
+        flat = {key: geom[key].reshape((self.npoints,) + geom[key].shape[self.d:])
+                for key in ("gamma", "dgamma", "riemann", "ricci")}
+        for k, x in enumerate(self.coords().reshape(-1, self.d)):
+            yield x, CurvatureBundle(point=x, **{key: a[k] for key, a in flat.items()})
+
     def check_amplitude(self, *fields):
         amp = max(float(np.abs(f).max()) for f in fields)
         gate = 0.25 * min(self.spacing)
@@ -194,23 +172,6 @@ class FieldGrid:
             raise LatticeError(
                 f"generator amplitude {amp:.3g} exceeds spacing/4 = {gate:.3g}; "
                 "the lattice is too coarse for this scale")
-
-    def cov_vector(self, V):
-        """nabla_b V^a on the lattice -> [..., a, b]."""
-        gam = self.geometry()["gamma"]
-        dV = self.gradient(V)               # (*s, b, a)
-        return (np.einsum("...ba->...ab", dV)
-                + np.einsum("...abc,...c->...ab", gam, V))
-
-    def cov2_vector_sym(self, V):
-        """Symmetrized nabla_c nabla_b V^a -> [..., a, b, c]."""
-        gam = self.geometry()["gamma"]
-        cov1 = self.cov_vector(V)           # (*s, a, b)
-        dcov = self.gradient(cov1)          # (*s, c, a, b)
-        out = (np.einsum("...cab->...abc", dcov)
-               + np.einsum("...acd,...db->...abc", gam, cov1)
-               - np.einsum("...dcb,...ad->...abc", gam, cov1))
-        return 0.5 * (out + np.einsum("...acb->...abc", out))
 
 
 def compose_field(grid, V1, V2, coeffs=None):
@@ -223,8 +184,8 @@ def compose_field(grid, V1, V2, coeffs=None):
     """
     geom = grid.geometry()
     if coeffs is None:
-        d1 = grid.cov_vector(V2)
-        d2 = grid.cov2_vector_sym(V2)
+        d1 = grid.cov_vector(V2, geom["gamma"])
+        d2 = grid.cov2_vector_sym(V2, geom["gamma"])
     else:
         d1, d2 = coeffs
     return (V1 + V2
@@ -245,12 +206,10 @@ def _pointwise_coeffs(grid, v2):
                             "VectorField or constant components (its pointwise "
                             "derivatives enter the map)")
     field = v2 if isinstance(v2, VectorField) else constant_field(v2)
-    pts = grid.coords().reshape(-1, grid.n)
-    n = grid.n
-    d1 = np.empty((len(pts), n, n))
-    d2 = np.empty((len(pts), n, n, n))
-    for k, x in enumerate(pts):
-        cb = grid.manifold.curvature_at(x)
+    n = grid.d
+    d1 = np.empty((grid.npoints, n, n))
+    d2 = np.empty((grid.npoints, n, n, n))
+    for k, (x, cb) in enumerate(grid.bundles()):
         d1[k] = covariant_derivative(grid.manifold, field, x, order=1, curvature=cb)
         d2[k] = covariant_derivative(grid.manifold, field, x, order=2, curvature=cb)
     return (d1.reshape(grid.shape + (n, n)), d2.reshape(grid.shape + (n, n, n)))
@@ -262,13 +221,13 @@ def _footprint(ndim, side):
 
     The first factor (left side) enters pointwise.  The second (right side)
     enters through ``cov_vector`` and the lattice gradient of it, each of
-    which reads F1 = {0} + {o e_a : o in the _D1 offsets}; its footprint is
-    the sum set F1 + F1.
+    which reads F1 = {0} + {o e_a : o in the order-4 D1 offsets}; its
+    footprint is the sum set F1 + F1.
     """
     f1 = [np.zeros(ndim, dtype=int)]
     if side == "right":
         for a in range(ndim):
-            for off, _ in _D1:
+            for off, _ in D1[4]:
                 e = np.zeros(ndim, dtype=int)
                 e[a] = off
                 f1.append(e)
@@ -319,7 +278,7 @@ def _dense_jacobian(grid, V1, V2, side, coeffs=None, step=None):
     entry is the same float the column-at-a-time loop produces, and the
     rows outside a column's footprint are exact zeros in both.
     """
-    n = grid.n
+    n = grid.d
     nd = V1.size
     scale = max(1.0, float(np.abs(V1).max()), float(np.abs(V2).max()))
     s = step if step is not None else 1e-6 * scale
@@ -367,7 +326,7 @@ def _christoffel_diagonal_terms(grid, V1):
     gam = grid.geometry()["gamma"]
     gtrace = np.einsum("...aca->...c", gam)          # Gamma^a_{ca}
     lin = float(np.sum(np.einsum("...c,...c->...", V1, gtrace)))
-    adv = np.einsum("...c,...dc->...d", V1, grid.cov_vector(V1))
+    adv = np.einsum("...c,...dc->...d", V1, grid.cov_vector(V1, gam))
     quad = -0.5 * float(np.sum(np.einsum("...d,...d->...", adv, gtrace)))
     return {"christoffel_linear": lin, "christoffel_quadratic": quad}
 
@@ -416,11 +375,10 @@ def _left_derivative_data(grid, V1, v1, V2, coeffs):
     through second order in the generators."""
     d1_2, d2_2 = coeffs
     if isinstance(v1, VectorField):
-        pts = grid.coords().reshape(-1, grid.n)
-        n = grid.n
-        d1_1 = np.empty((len(pts), n, n))
-        for k, x in enumerate(pts):
-            d1_1[k] = covariant_derivative(grid.manifold, v1, x, order=1)
+        n = grid.d
+        d1_1 = np.empty((grid.npoints, n, n))
+        for k, (x, cb) in enumerate(grid.bundles()):
+            d1_1[k] = covariant_derivative(grid.manifold, v1, x, order=1, curvature=cb)
         d1_1 = d1_1.reshape(grid.shape + (n, n))
     else:
         gam = grid.geometry()["gamma"]
@@ -566,7 +524,7 @@ def _displacement_field(grid, V):
 def _displacement_jacobian_blocks(grid, V, step=1e-7):
     """Per-point d Y^a / d v^b by central differences (the map is pointwise);
     the identity block is carried by the linear term of the displacement."""
-    n = grid.n
+    n = grid.d
     blocks = np.zeros(grid.shape + (n, n))
     for b in range(n):
         dV = np.zeros_like(V)
@@ -583,9 +541,9 @@ def _field_jacobians(grid, v):
     box is not box-periodic, so wrapping lattice stencils must not touch it;
     every derivative in the diffeomorphism check is pointwise."""
     if not isinstance(v, VectorField):
-        return np.zeros(grid.shape + (grid.n, grid.n))
-    pts = grid.coords().reshape(-1, grid.n)
-    n = grid.n
+        return np.zeros(grid.shape + (grid.d, grid.d))
+    pts = grid.coords().reshape(-1, grid.d)
+    n = grid.d
     step = v._step(grid.manifold)
     out = np.empty((len(pts), n, n))
     for k, x in enumerate(pts):
@@ -619,7 +577,7 @@ def diffeo_measure_check(manifold, grid, v):
     # passive coordinate Jacobian dY^a/dx^b through second order in the
     # generator (the cubic term's position derivative is O(eps^3))
     dV = _field_jacobians(grid, v)
-    J = (np.eye(grid.n) + dV
+    J = (np.eye(grid.d) + dV
          - 0.5 * np.einsum("...bacd,...c,...d->...ab", dgam, V, V)
          - np.einsum("...acd,...cb,...d->...ab", gam, dV, V))
     # measured sqrt(h)-ratio via the metric transformation law

@@ -34,13 +34,13 @@ import numpy as np
 
 from .errors import IrregularImmersionError
 from .manifolds import euclidean, sphere
+from .stencils import PeriodicLattice
 
 __all__ = [
     "ParameterGrid",
     "Immersion",
     "Frame",
     "ExtrinsicData",
-    "induced_metric",
     "build_frame",
     "frame_invariant_residuals",
     "second_fundamental_form",
@@ -59,80 +59,8 @@ __all__ = [
     "builtin_immersion",
 ]
 
-_STENCILS_D1 = {
-    4: ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0)),
-    6: ((-3, -1.0 / 60.0), (-2, 9.0 / 60.0), (-1, -45.0 / 60.0),
-        (1, 45.0 / 60.0), (2, -9.0 / 60.0), (3, 1.0 / 60.0)),
-}
-_STENCILS_D2 = {
-    4: ((-2, -1.0 / 12.0), (-1, 16.0 / 12.0), (0, -30.0 / 12.0),
-        (1, 16.0 / 12.0), (2, -1.0 / 12.0)),
-    6: ((-3, 2.0 / 180.0), (-2, -27.0 / 180.0), (-1, 270.0 / 180.0),
-        (0, -490.0 / 180.0), (1, 270.0 / 180.0), (2, -27.0 / 180.0),
-        (3, 2.0 / 180.0)),
-}
-
-
-class ParameterGrid:
-    """Uniform periodic lattice over the parameter manifold (d = 1 or 2)."""
-
-    def __init__(self, shape, periods=None, offsets=None, fd_order=4):
-        shape = (shape,) if np.isscalar(shape) else tuple(int(s) for s in shape)
-        self.d = len(shape)
-        if self.d not in (1, 2):
-            raise ValueError("intrinsic dimension must be 1 or 2")
-        if fd_order not in _STENCILS_D1:
-            raise ValueError("fd_order must be 4 or 6")
-        self.shape = shape
-        self.periods = (2.0 * math.pi,) * self.d if periods is None \
-            else tuple(float(p) for p in periods)
-        self.offsets = (0.0,) * self.d if offsets is None \
-            else tuple(float(o) for o in offsets)
-        self.fd_order = fd_order
-        self.spacing = tuple(p / s for p, s in zip(self.periods, self.shape))
-        self.axes = tuple(
-            (np.arange(s) + off) * dx
-            for s, off, dx in zip(self.shape, self.offsets, self.spacing))
-
-    @property
-    def npoints(self):
-        return int(np.prod(self.shape))
-
-    @property
-    def weight(self):
-        """Per-point quadrature weight (product of spacings; the periodic
-        trapezoid rule, exact for smooth periodic integrands)."""
-        return float(np.prod(self.spacing))
-
-    def coords(self):
-        """Coordinate fields, shape (*shape, d)."""
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
-    def deriv(self, field, axis):
-        """Periodic central first derivative along a grid axis."""
-        dx = self.spacing[axis]
-        field = np.asarray(field, dtype=float)
-        out = np.zeros_like(field)
-        for off, wgt in _STENCILS_D1[self.fd_order]:
-            out += wgt * np.roll(field, -off, axis=axis)
-        return out / dx
-
-    def deriv2(self, field, axis_a, axis_b):
-        """Periodic central second derivative (same or mixed axes)."""
-        if axis_a == axis_b:
-            dx = self.spacing[axis_a]
-            field = np.asarray(field, dtype=float)
-            out = np.zeros_like(field)
-            for off, wgt in _STENCILS_D2[self.fd_order]:
-                out += wgt * np.roll(field, -off, axis=axis_a)
-            return out / (dx * dx)
-        return self.deriv(self.deriv(field, axis_a), axis_b)
-
-    def gradient(self, field):
-        """Stack of first derivatives, shape (*shape, d, ...field-tail)."""
-        outs = [self.deriv(field, ax) for ax in range(self.d)]
-        return np.stack(outs, axis=self.d)
+# The uniform periodic parameter grid (d = 1 or 2) of an immersion.
+ParameterGrid = PeriodicLattice
 
 
 @dataclass
@@ -190,6 +118,8 @@ class Immersion:
         if samples.shape != grid.shape + (ambient.dim,):
             raise ValueError(f"samples shape {samples.shape} does not match "
                              f"grid {grid.shape} x ambient dim {ambient.dim}")
+        if grid.d not in (1, 2):
+            raise ValueError("intrinsic dimension must be 1 or 2")
         if ambient.dim <= grid.d:
             raise ValueError("ambient dimension must exceed intrinsic dimension")
         self.grid = grid
@@ -451,11 +381,6 @@ def frame_invariant_residuals(imm, frame):
 
 
 # -- extrinsic geometry -------------------------------------------------------------
-
-
-def induced_metric(imm):
-    """Induced metric field and intrinsic lowered Riemann field."""
-    return imm.metric(), imm.intrinsic_riemann_lower()
 
 
 def _gauss_vector(imm):

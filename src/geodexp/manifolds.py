@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartDomainError, SignatureViolationError
+from .stencils import partials, second_partials
 
 __all__ = [
     "ChartDomain",
     "ManifoldSpec",
     "CurvatureBundle",
-    "Vector",
     "VectorField",
     "constant_field",
     "covariant_derivative",
@@ -41,12 +41,6 @@ __all__ = [
     "from_expression",
     "builtin_manifold",
 ]
-
-# 4th-order central first/second derivative stencils (offset: weight).
-_D1_STENCIL = ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0))
-_D2_STENCIL = ((-2, -1.0 / 12.0), (-1, 16.0 / 12.0), (0, -30.0 / 12.0),
-               (1, 16.0 / 12.0), (2, -1.0 / 12.0))
-
 
 @dataclass(frozen=True)
 class ChartDomain:
@@ -105,14 +99,6 @@ class CurvatureBundle:
     def riemann_lower(self, h):
         """R_{abcd} = h_{ae} R^e_{bcd}."""
         return np.einsum("ae,ebcd->abcd", h, self.riemann)
-
-
-@dataclass(frozen=True)
-class Vector:
-    """Contravariant vector attached to a chart point."""
-
-    base: np.ndarray
-    components: np.ndarray
 
 
 class ManifoldSpec:
@@ -201,45 +187,16 @@ class ManifoldSpec:
         x = np.asarray(x, dtype=float)
         if self.d_metric_fn is not None and step is None:
             return np.asarray(self.d_metric_fn(x), dtype=float)
-        s = self.fd_step if step is None else step
         self.require_inside(x, stencil=True)
-        out = np.empty((self.dim, self.dim, self.dim))
-        for c in range(self.dim):
-            acc = np.zeros((self.dim, self.dim))
-            for off, wgt in _D1_STENCIL:
-                xp = x.copy()
-                xp[c] += off * s
-                acc += wgt * self.metric(xp)
-            out[c] = acc / s
-        return out
+        return partials(self.metric, x, self.fd_step if step is None else step)
 
     def dd_metric(self, x, step=None):
         """d_c d_d h_ab as an (n, n, n, n) array, symmetric in (c, d)."""
         x = np.asarray(x, dtype=float)
         if self.dd_metric_fn is not None and step is None:
             return np.asarray(self.dd_metric_fn(x), dtype=float)
-        s = self.fd_step if step is None else step
         self.require_inside(x, stencil=True)
-        n = self.dim
-        out = np.empty((n, n, n, n))
-        for c in range(n):
-            acc = np.zeros((n, n))
-            for off, wgt in _D2_STENCIL:
-                xp = x.copy()
-                xp[c] += off * s
-                acc += wgt * self.metric(xp)
-            out[c, c] = acc / (s * s)
-        for c in range(n):
-            for d in range(c + 1, n):
-                acc = np.zeros((n, n))
-                for offc, wc in _D1_STENCIL:
-                    for offd, wd in _D1_STENCIL:
-                        xp = x.copy()
-                        xp[c] += offc * s
-                        xp[d] += offd * s
-                        acc += wc * wd * self.metric(xp)
-                out[c, d] = out[d, c] = acc / (s * s)
-        return out
+        return second_partials(self.metric, x, self.fd_step if step is None else step)
 
     # -- connection and curvature ---------------------------------------------
 
@@ -353,41 +310,11 @@ class VectorField:
 
     def jacobian(self, x, step):
         """d_b v^a indexed [a, b]."""
-        x = np.asarray(x, dtype=float)
-        n = x.size
-        out = np.empty((n, n))
-        for b in range(n):
-            acc = 0.0
-            for off, wgt in _D1_STENCIL:
-                xp = x.copy()
-                xp[b] += off * step
-                acc = acc + wgt * self(xp)
-            out[:, b] = acc / step
-        return out
+        return np.ascontiguousarray(np.moveaxis(partials(self, x, step), 0, -1))
 
     def hessian(self, x, step):
         """d_b d_c v^a indexed [a, b, c] (symmetric in b, c)."""
-        x = np.asarray(x, dtype=float)
-        n = x.size
-        out = np.empty((n, n, n))
-        for b in range(n):
-            acc = 0.0
-            for off, wgt in _D2_STENCIL:
-                xp = x.copy()
-                xp[b] += off * step
-                acc = acc + wgt * self(xp)
-            out[:, b, b] = acc / (step * step)
-        for b in range(n):
-            for c in range(b + 1, n):
-                acc = 0.0
-                for offb, wb in _D1_STENCIL:
-                    for offc, wc in _D1_STENCIL:
-                        xp = x.copy()
-                        xp[b] += offb * step
-                        xp[c] += offc * step
-                        acc = acc + wb * wc * self(xp)
-                out[:, b, c] = out[:, c, b] = acc / (step * step)
-        return out
+        return np.ascontiguousarray(np.moveaxis(second_partials(self, x, step), -1, 0))
 
 
 class _ConstantField(VectorField):
@@ -407,7 +334,7 @@ class _ConstantField(VectorField):
 
 
 def constant_field(components):
-    """VectorField with chart-constant components (bare-Vector promotion)."""
+    """VectorField with chart-constant components (bare-vector promotion)."""
     return _ConstantField(components)
 
 

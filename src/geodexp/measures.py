@@ -82,7 +82,7 @@ def eta_measure_log(eta, include_prefactors=True):
     bg = eta.background
     imm = bg.immersion
     e = eta.samples
-    cov = bg.cov_tangential_vector(e)                     # nabla_b eta^a -> [a, b]
+    cov = bg.grid.cov_vector(e, imm.christoffel())        # nabla_b eta^a -> [a, b]
     div = np.einsum("...aa->...", cov)
     grad_sq = 0.5 * np.einsum("...ab,...ba->...", cov, cov)
     if imm.d == 1:

@@ -21,7 +21,7 @@ from . import manifolds as mf
 from . import measures as ms
 from .convergence import fit_loglog_slope
 
-__all__ = ["CheckResult", "SuiteReport", "run_suite", "run_check", "sweep",
+__all__ = ["CheckResult", "SuiteReport", "run_suite", "sweep",
            "SUITES", "CHECKS", "SWEEPS"]
 
 
@@ -88,27 +88,101 @@ def _sphere_background(res=48):
     return dv.Background(im.sphere_immersion(1.0, res, collar=0.5, fd_order=6))
 
 
+def _haar_grid(config, manifold, min_points=0):
+    """The configured lattice (``grid.points``, ``grid.halfwidth``) about 0."""
+    gridspec = config.get("grid", {})
+    return haar.FieldGrid(manifold, np.zeros(2), float(gridspec.get("halfwidth", 0.6)),
+                          max(min_points, int(gridspec.get("points", 12))))
+
+
+def _sphere_lattice(config, min_points=0):
+    S = mf.sphere_normal(1.0)
+    return S, _haar_grid(config, S, min_points)
+
+
+# Per-scale error bodies, shared by the checks and the scale sweeps.  Each
+# returns a function of the scale s.
+
+_EXPAND3_CASES = {
+    "sphere": (lambda: mf.sphere(1.0), (1.1, 0.4), (0.6, 0.8)),
+    "poincare": (lambda: mf.poincare_half_plane(), (0.3, 1.5), (1.0, -0.5)),
+    "euclidean": (lambda: mf.euclidean(2), (0.0, 0.0), (0.6, 0.8)),
+}
+
+
+def _expand3_case(name):
+    """Manifold, base point and unit direction of a named expand3 case."""
+    make, x0, direc = _EXPAND3_CASES[name]
+    M, x0, direc = make(), np.array(x0), np.array(direc)
+    return M, x0, direc / M.norm(x0, direc)
+
+
+def _expand3_error(M, x0, unit, order, tol):
+    """|expand3 - shoot| along s * unit (A1)."""
+    def err(s):
+        end, _ = gd.expand3(M, x0, s * unit, order=order)
+        oracle = gd.shoot(M, x0, s * unit, 1.0, tol=tol)
+        return float(np.linalg.norm(end - oracle))
+    return err
+
+
+def _circle_specs(config, bg):
+    return (config.field_spec("deviation", bg.grid.periods, 2),
+            config.field_spec("generator", bg.grid.periods, 1))
+
+
+def _diffeo_action_error(config, bg):
+    """Transformed deviation against reparametrize-then-expand (A7)."""
+    dev_spec, eta_spec = _circle_specs(config, bg)
+
+    def err(s):
+        dev = dv.DeviationField(bg, s * dev_spec.sample(bg.grid), scale=s)
+        eta = dv.GeneratorField(bg, s * eta_spec.sample(bg.grid), scale=s)
+        return dv.reparametrization_oracle_error(dev, eta, order=3,
+                                                 tol=config.shoot_tol())
+    return err
+
+
+def _fp_invariance_error(config, bg):
+    """Change of the Faddeev-Popov log-determinant under a generator (A10)."""
+    dev_spec, eta_spec = _circle_specs(config, bg)
+
+    def err(s):
+        xi = dv.decompose(dv.DeviationField(bg, s * dev_spec.sample(bg.grid)))
+        eta = dv.GeneratorField(bg, s * eta_spec.sample(bg.grid))
+        xi2 = dv.xi_transform(xi, eta, order=3)
+        return abs(ms.fp_log_determinant(xi2).log_density
+                   - ms.fp_log_determinant(xi).log_density)
+    return err
+
+
+_HAAR_BASE1 = np.array([0.02, -0.013])
+_HAAR_BASE2 = np.array([-0.011, 0.017])
+
+
+def _haar_jacobian_error(S, g, side):
+    """Residual of the lattice product-Jacobian identity (A4)."""
+    return lambda s: abs(haar.product_jacobian_check(
+        S, g, s * _HAAR_BASE1, s * _HAAR_BASE2, side=side)["residual"])
+
+
+def _diffeo_identity_error(S, g):
+    """Residual of the diffeomorphism-measure identity (A5)."""
+    return lambda s: abs(haar.diffeo_measure_check(S, g, s * _HAAR_BASE1)["residual"])
+
+
 # -- A1: geodesic expansion truncation orders -----------------------------------
 
 
 def check_expansion_orders(config):
     scales = config.scales()
-    cases = {
-        "sphere": (mf.sphere(1.0), np.array([1.1, 0.4]), np.array([0.6, 0.8])),
-        "poincare": (mf.poincare_half_plane(), np.array([0.3, 1.5]),
-                     np.array([1.0, -0.5])),
-    }
-    tol = config.shoot_tol()
     values, ok = {}, True
     slopes3 = []
-    for name, (M, x0, direc) in cases.items():
-        direc = direc / M.norm(x0, direc)
+    for name in ("sphere", "poincare"):
+        M, x0, unit = _expand3_case(name)
         for order, target in ((1, 2.0), (2, 3.0), (3, 4.0)):
-            errs = []
-            for s in scales:
-                end, _ = gd.expand3(M, x0, s * direc, order=order)
-                oracle = gd.shoot(M, x0, s * direc, 1.0, tol=tol)
-                errs.append(float(np.linalg.norm(end - oracle)))
+            errs = _slope_errors(scales, _expand3_error(M, x0, unit, order,
+                                                        config.shoot_tol()))
             fit = _fit(config, scales, errs)
             values[f"{name}.order{order}.slope"] = fit.slope
             ok = ok and abs(fit.slope - target) <= 0.3
@@ -190,20 +264,12 @@ def check_normal_metric_expansion(config):
 
 
 def check_haar_jacobians(config):
-    gridspec = config.get("grid", {})
-    points = int(gridspec.get("points", 12))
-    halfwidth = float(gridspec.get("halfwidth", 0.6))
-    S = mf.sphere_normal(1.0)
-    g = haar.FieldGrid(S, np.zeros(2), halfwidth, points)
-    base1 = np.array([0.02, -0.013])
-    base2 = np.array([-0.011, 0.017])
+    S, g = _sphere_lattice(config)
     scales = [0.5, 0.25, 0.125, 0.0625]
     values, ok = {}, True
     slope_r = None
     for side in ("right", "left"):
-        errs = _slope_errors(scales, lambda s, side=side: abs(
-            haar.product_jacobian_check(S, g, s * base1, s * base2,
-                                        side=side)["residual"]))
+        errs = _slope_errors(scales, _haar_jacobian_error(S, g, side))
         fit = _fit(config, scales, errs)
         values[f"{side}.slope"] = fit.slope
         ok = ok and fit.slope >= 2.7
@@ -211,7 +277,7 @@ def check_haar_jacobians(config):
             slope_r = fit.slope
 
     E = mf.euclidean(2)
-    ge = haar.FieldGrid(E, np.zeros(2), halfwidth, points)
+    ge = _haar_grid(config, E)
     for side in ("right", "left"):
         out = haar.product_jacobian_check(E, ge, np.array([3e-5, -2e-5]),
                                           np.array([-1.5e-5, 2.5e-5]), side=side)
@@ -232,15 +298,9 @@ def check_diffeo_measure(config):
     polar = haar.diffeo_measure_check(P, gp, np.array([0.002, -0.0013]))
     nc = polar["noncovariant_terms"]
 
-    S = mf.sphere_normal(1.0)
-    gridspec = config.get("grid", {})
-    gs = haar.FieldGrid(S, np.zeros(2),
-                        float(gridspec.get("halfwidth", 0.6)),
-                        max(14, int(gridspec.get("points", 12))))
-    base = np.array([0.02, -0.013])
+    S, gs = _sphere_lattice(config, min_points=14)
     scales = [0.5, 0.25, 0.125, 0.0625]
-    errs = _slope_errors(scales, lambda s: abs(
-        haar.diffeo_measure_check(S, gs, s * base)["residual"]))
+    errs = _slope_errors(scales, _diffeo_identity_error(S, gs))
     fit = _fit(config, scales, errs)
     values = {
         "polar.nc_jacobian": nc["jacobian_formula"],
@@ -296,15 +356,7 @@ def check_structure_equations(config):
 
 def check_diffeo_action(config):
     scales = config.scales()
-    bg = _circle_background()
-    dev_spec = config.field_spec("deviation", bg.grid.periods, 2)
-    eta_spec = config.field_spec("generator", bg.grid.periods, 1)
-    errs = []
-    for s in scales:
-        dev = dv.DeviationField(bg, s * dev_spec.sample(bg.grid), scale=s)
-        eta = dv.GeneratorField(bg, s * eta_spec.sample(bg.grid), scale=s)
-        errs.append(dv.reparametrization_oracle_error(dev, eta, order=3,
-                                                      tol=config.shoot_tol()))
+    errs = _slope_errors(scales, _diffeo_action_error(config, _circle_background()))
     fit = _fit(config, scales, errs)
     values = {"slope": fit.slope, "smallest_error": errs[-1]}
     ok = fit.slope >= 3.7
@@ -372,16 +424,7 @@ def check_gauge_generator(config):
 
 def check_fp_invariance(config):
     scales = config.scales()
-    bg = _circle_background()
-    dev_spec = config.field_spec("deviation", bg.grid.periods, 2)
-    eta_spec = config.field_spec("generator", bg.grid.periods, 1)
-    errs = []
-    for s in scales:
-        xi = dv.decompose(dv.DeviationField(bg, s * dev_spec.sample(bg.grid)))
-        eta = dv.GeneratorField(bg, s * eta_spec.sample(bg.grid))
-        xi2 = dv.xi_transform(xi, eta, order=3)
-        errs.append(abs(ms.fp_log_determinant(xi2).log_density
-                        - ms.fp_log_determinant(xi).log_density))
+    errs = _slope_errors(scales, _fp_invariance_error(config, _circle_background()))
     fit = _fit(config, scales, errs)
 
     flat = im.graph_immersion(height_fn=lambda x, y: np.zeros_like(x),
@@ -483,10 +526,6 @@ SUITES = {
 }
 
 
-def run_check(config, check_id):
-    return CHECKS[check_id](config)
-
-
 def run_suite(config, suite):
     """Execute a named suite; check failures are reported, not raised."""
     if suite not in SUITES:
@@ -508,61 +547,28 @@ def run_suite(config, suite):
 # -- scale sweeps -------------------------------------------------------------------------------
 
 
-def _sweep_expand3(manifold, x0, direc):
-    direc = direc / manifold.norm(x0, direc)
+# sweep name -> config -> per-scale error function; inputs are made only for
+# the sweep that is run
+_SWEEP_ERRORS = {
+    "expand3_sphere": lambda config: _expand3_error(
+        *_expand3_case("sphere"), 3, config.shoot_tol()),
+    "expand3_poincare": lambda config: _expand3_error(
+        *_expand3_case("poincare"), 3, config.shoot_tol()),
+    "expand3_euclidean": lambda config: _expand3_error(
+        *_expand3_case("euclidean"), 3, config.shoot_tol()),
+    "fp_invariance_circle": lambda config: _fp_invariance_error(
+        config, _circle_background()),
+    "act_diffeo_circle": lambda config: _diffeo_action_error(
+        config, _circle_background()),
+    "haar_right_sphere": lambda config: _haar_jacobian_error(
+        *_sphere_lattice(config), "right"),
+    "haar_left_sphere": lambda config: _haar_jacobian_error(
+        *_sphere_lattice(config), "left"),
+    "diffeo_identity_sphere": lambda config: _diffeo_identity_error(
+        *_sphere_lattice(config)),
+}
 
-    def err(s):
-        end, _ = gd.expand3(manifold, x0, s * direc)
-        oracle = gd.shoot(manifold, x0, s * direc, 1.0, tol=1e-12)
-        return float(np.linalg.norm(end - oracle))
-
-    return err
-
-
-def _sweep_registry(config):
-    bg = _circle_background()
-    dev_spec = config.field_spec("deviation", bg.grid.periods, 2)
-    eta_spec = config.field_spec("generator", bg.grid.periods, 1)
-
-    def fp_err(s):
-        xi = dv.decompose(dv.DeviationField(bg, s * dev_spec.sample(bg.grid)))
-        eta = dv.GeneratorField(bg, s * eta_spec.sample(bg.grid))
-        xi2 = dv.xi_transform(xi, eta, order=3)
-        return abs(ms.fp_log_determinant(xi2).log_density
-                   - ms.fp_log_determinant(xi).log_density)
-
-    def act_err(s):
-        dev = dv.DeviationField(bg, s * dev_spec.sample(bg.grid), scale=s)
-        eta = dv.GeneratorField(bg, s * eta_spec.sample(bg.grid), scale=s)
-        return dv.reparametrization_oracle_error(dev, eta, order=3)
-
-    S = mf.sphere_normal(1.0)
-    g = haar.FieldGrid(S, np.zeros(2), 0.6, 12)
-
-    return {
-        "expand3_sphere": _sweep_expand3(mf.sphere(1.0), np.array([1.1, 0.4]),
-                                         np.array([0.6, 0.8])),
-        "expand3_poincare": _sweep_expand3(mf.poincare_half_plane(),
-                                           np.array([0.3, 1.5]),
-                                           np.array([1.0, -0.5])),
-        "expand3_euclidean": _sweep_expand3(mf.euclidean(2), np.zeros(2),
-                                            np.array([0.6, 0.8])),
-        "fp_invariance_circle": fp_err,
-        "act_diffeo_circle": act_err,
-        "haar_right_sphere": lambda s: abs(haar.product_jacobian_check(
-            S, g, s * np.array([0.02, -0.013]), s * np.array([-0.011, 0.017]),
-            side="right")["residual"]),
-        "haar_left_sphere": lambda s: abs(haar.product_jacobian_check(
-            S, g, s * np.array([0.02, -0.013]), s * np.array([-0.011, 0.017]),
-            side="left")["residual"]),
-        "diffeo_identity_sphere": lambda s: abs(haar.diffeo_measure_check(
-            S, g, s * np.array([0.02, -0.013]))["residual"]),
-    }
-
-
-SWEEPS = ("expand3_sphere", "expand3_poincare", "expand3_euclidean",
-          "fp_invariance_circle", "act_diffeo_circle", "haar_right_sphere",
-          "haar_left_sphere", "diffeo_identity_sphere")
+SWEEPS = tuple(_SWEEP_ERRORS)
 
 
 def sweep(config, check, scales=None):
@@ -570,13 +576,12 @@ def sweep(config, check, scales=None):
 
     Raises InsufficientSignalError when fewer than three scales carry signal.
     """
-    registry = _sweep_registry(config)
-    if check not in registry:
-        raise ValueError(f"unknown sweep '{check}' (have {sorted(registry)})")
+    if check not in _SWEEP_ERRORS:
+        raise ValueError(f"unknown sweep '{check}' (have {sorted(SWEEPS)})")
+    err = _SWEEP_ERRORS[check](config)
     scales = tuple(scales) if scales is not None else config.scales()
-    errors = [registry[check](s) for s in scales]
-    floor = float(config.get("tolerances", {}).get("slope_floor", 1e-11))
-    fit = fit_loglog_slope(scales, errors, floor=floor)
+    errors = _slope_errors(scales, err)
+    fit = _fit(config, scales, errors)
     rows = [("scale", "error")]
     rows += [(f"{s:.12e}", f"{e:.12e}") for s, e in zip(scales, errors)]
     rows.append(("slope", "exact" if fit.exact else f"{fit.slope:.12e}"))

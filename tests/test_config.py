@@ -30,6 +30,18 @@ def test_type_errors_carry_path():
     assert err.value.path == "sweep.scales"
 
 
+@pytest.mark.parametrize("data, path", [
+    ({"manifold": {"builtin": "sphere", "fd_step": 1e-3}}, "manifold.fd_step"),
+    ({"fields": {"deviation": {"kind": "random", "seed": 1, "components": 2}}},
+     "fields.deviation.components"),
+    ({"output": {"csv": "out.csv"}}, "output"),
+])
+def test_ignored_keys_rejected(data, path):
+    with pytest.raises(ConfigError) as err:
+        RunConfig(data)
+    assert err.value.path == path
+
+
 def test_random_field_requires_seed():
     with pytest.raises(ConfigError) as err:
         RunConfig({"fields": {"deviation": {"kind": "random", "amplitude": 0.1}}})

@@ -213,24 +213,3 @@ def test_normal_chart_pullback_matches_closed_form(sphere):
 def test_normal_chart_radius_gate(sphere):
     with pytest.raises(ValueError):
         gd.normal_chart(sphere, np.array([math.pi / 2, 0.4]), radius=5.0)
-
-
-def test_geodesic_expansion_object(sphere):
-    x0 = np.array([1.1, 0.4])
-    exp = gd.GeodesicExpansion(base=x0, generator=np.array([0.1, 0.05]), order=2)
-    out, trusted = gd.expand_expansion(sphere, exp)
-    direct, _ = gd.expand3(sphere, x0, np.array([0.1, 0.05]), order=2)
-    assert np.allclose(out, direct, atol=0.0)
-    assert trusted
-    fld = mf.VectorField(lambda p: np.array([0.1, 0.05 * np.cos(p[0])]))
-    exp_f = gd.GeodesicExpansion(base=x0, generator=fld, order=3)
-    out_f, _ = gd.expand_expansion(sphere, exp_f)
-    direct_f, _ = gd.expand3(sphere, x0, fld(x0), order=3)
-    assert np.allclose(out_f, direct_f, atol=0.0)
-
-
-def test_trust_radius_estimate(sphere):
-    est = gd.estimate_trust_radius(sphere, np.array([math.pi / 2, 0.4]),
-                                   n_directions=4)
-    # conjugate point at distance pi: the probe should land in (0.5, pi)
-    assert 0.5 <= est <= math.pi

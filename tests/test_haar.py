@@ -159,12 +159,12 @@ def test_jacobian_work_counts(sphere_grid, monkeypatch):
     monkeypatch.setattr(haar, "compose_field", counting)
     c1, c2 = np.array([0.01, -0.0065]), np.array([-0.0055, 0.0085])
     haar.product_jacobian_check(S, g, c1, c2, side="left")
-    assert len(calls) == 2 * g.n + 1          # one colour, plus the formula side
+    assert len(calls) == 2 * g.d + 1          # one colour, plus the formula side
     calls.clear()
     haar.product_jacobian_check(S, g, c1, c2, side="right")
     colours = len(haar._colour_groups(g.shape, "right"))
     assert colours < g.npoints
-    assert len(calls) == 2 * g.n * colours
+    assert len(calls) == 2 * g.d * colours
 
 
 def test_geometry_takes_dgamma_from_curvature_bundle(monkeypatch):
@@ -179,6 +179,20 @@ def test_geometry_takes_dgamma_from_curvature_bundle(monkeypatch):
     dgamma = g.geometry()["dgamma"]
     monkeypatch.undo()
     assert np.array_equal(dgamma[3, 5], d_christoffel(g.coords()[3, 5]))
+
+
+def test_left_check_reuses_grid_curvature(monkeypatch):
+    S = mf.sphere_normal(1.0)
+    g = haar.FieldGrid(S, np.zeros(2), 0.6, 12)
+    g.geometry()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("left-side check recomputed a curvature bundle")
+
+    monkeypatch.setattr(mf.ManifoldSpec, "curvature_at", forbidden)
+    v1 = mf.VectorField(lambda x: np.array([0.01 + 0.002 * x[1], -0.0065]), step=1e-4)
+    out = haar.product_jacobian_check(S, g, v1, np.array([-0.0055, 0.0085]), side="left")
+    assert np.isfinite(out["residual"])
 
 
 def test_product_jacobian_identity_factor(sphere_grid):

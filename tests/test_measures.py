@@ -69,7 +69,7 @@ def test_eta_measure_independent_quadrature(sphere_bg):
 
     imm = sphere_bg.immersion
     e = eta.samples
-    cov = sphere_bg.cov_tangential_vector(e)
+    cov = sphere_bg.grid.cov_vector(e, imm.christoffel())
     dens = imm.quad_weights() * imm.sqrt_g() / imm.normalization
     div = float(np.sum(dens * np.einsum("...aa->...", cov)))
     grad = 0.5 * float(np.sum(dens * np.einsum("...ab,...ba->...", cov, cov)))
