@@ -21,6 +21,7 @@ import numpy as np
 
 from .geodesics import expand3, shoot
 from .immersions import Immersion, build_frame, extrinsic_data
+from .manifolds import series_terms
 
 __all__ = [
     "Background",
@@ -412,13 +413,11 @@ def intrinsic_displacement(bg, eta, order=3):
     out = e.copy()
     if order >= 2:
         gam = bg.immersion.christoffel()
-        out = out - 0.5 * np.einsum("...abc,...b,...c->...a", gam, e, e)
-    if order >= 3:
-        gam = bg.immersion.christoffel()
-        dgam = bg.grid.gradient(gam)       # (*s, d, a, b, c)
-        coeff = (-np.einsum("...dabc->...abcd", dgam)
-                 + 2.0 * np.einsum("...ade,...ebc->...abcd", gam, gam))
-        out = out + np.einsum("...abcd,...b,...c,...d->...a", coeff, e, e, e) / 6.0
+        dgam = bg.grid.gradient(gam) if order >= 3 else None    # (*s, d, a, b, c)
+        second, third = series_terms(gam, dgam, e)
+        out = out + second
+        if order >= 3:
+            out = out + third
     return out
 
 

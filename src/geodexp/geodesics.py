@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ChartDomainError, NoUniqueGeodesicError, StiffnessError
-from .manifolds import ManifoldSpec, VectorField, constant_field
+from .manifolds import ManifoldSpec, VectorField, constant_field, series_terms
 from .stencils import partials
 
 __all__ = [
@@ -126,19 +126,6 @@ def log_map(manifold, x0, x1, tol=1e-10, max_iter=30):
         f"{tuple(x1)} within {max_iter} Newton iterations")
 
 
-def _series_terms(manifold, x0, v):
-    """The three series increments at x0 for generator value v."""
-    gamma = manifold.christoffel(x0)
-    dgamma = manifold.d_christoffel(x0)
-    first = v
-    second = -0.5 * np.einsum("abc,b,c->a", gamma, v, v)
-    # 1/6 (-Gamma^a_{bc,d} + 2 Gamma^a_{de} Gamma^e_{bc}) v^b v^c v^d
-    coeff = -np.einsum("dabc->abcd", dgamma) \
-        + 2.0 * np.einsum("ade,ebc->abcd", gamma, gamma)
-    third = np.einsum("abcd,b,c,d->a", coeff, v, v, v) / 6.0
-    return first, second, third
-
-
 def expand3(manifold, x0, v, order=3, trust_radius=None):
     """Truncated geodesic expansion X0 + v - (1/2)Gamma v v + (1/6)(...) vvv.
 
@@ -152,8 +139,9 @@ def expand3(manifold, x0, v, order=3, trust_radius=None):
     v = np.asarray(v, dtype=float)
     gate = trust_radius if trust_radius is not None else manifold.trust_radius(x0)
     trusted = manifold.norm(x0, v) <= gate
-    first, second, third = _series_terms(manifold, x0, v)
-    out = x0 + first
+    second, third = series_terms(manifold.christoffel(x0),
+                                 manifold.d_christoffel(x0), v)
+    out = x0 + v
     if order >= 2:
         out = out + second
     if order >= 3:

@@ -43,11 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, LatticeError
-from .manifolds import CurvatureBundle, VectorField, constant_field, covariant_derivative
+from .manifolds import (CurvatureBundle, VectorField, constant_field,
+                        covariant_derivative, series_terms)
 from .stencils import D1, PeriodicLattice
 
 __all__ = [
     "MeasureWeight",
+    "right_exponent",
+    "left_exponent",
     "right_log_weight",
     "left_log_weight",
     "FieldGrid",
@@ -70,12 +73,28 @@ class MeasureWeight:
     terms: dict
 
 
+def right_exponent(ricci, v, w=None, weight=1.0):
+    """Right Haar exponent -(1/6) R_ab v^a w^b (``w`` defaults to ``v``), times
+    ``weight`` and summed over any leading point axes."""
+    w = v if w is None else w
+    return -float(np.sum(weight * np.einsum("...ab,...a,...b->...", ricci, v, w))) / 6.0
+
+
+def left_exponent(grad, ricci, v, weight=1.0):
+    """Left Haar exponent terms -div v, 1/2 tr(grad v grad v) and
+    (1/3) R_ab v^a v^b, with ``grad[..., a, b] = nabla_b v^a``; each is taken
+    times ``weight`` and summed over any leading point axes."""
+    return (-float(np.sum(weight * np.einsum("...aa->...", grad))),
+            0.5 * float(np.sum(weight * np.einsum("...ab,...ba->...", grad, grad))),
+            float(np.sum(weight * np.einsum("...ab,...a,...b->...", ricci, v, v))) / 3.0)
+
+
 def right_log_weight(manifold, x, v, include_volume=False, curvature=None):
     """Right-invariant Haar log-weight: -(1/6) R_ab v^a v^b (+ 1/2 log|h|)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     cb = curvature if curvature is not None else manifold.curvature_at(x)
-    terms = {"ricci_quadratic": -float(np.einsum("ab,a,b->", cb.ricci, v, v)) / 6.0}
+    terms = {"ricci_quadratic": right_exponent(cb.ricci, v)}
     if include_volume:
         _, logdet = manifold.metric_at(x)
         terms["volume"] = 0.5 * logdet
@@ -92,12 +111,8 @@ def left_log_weight(manifold, x, v, include_volume=False, curvature=None):
         raise TypeError("left weight needs a VectorField (derivatives enter)")
     cb = curvature if curvature is not None else manifold.curvature_at(x)
     grad = covariant_derivative(manifold, v, x, order=1, curvature=cb)
-    val = v(x)
-    terms = {
-        "divergence": -float(np.trace(grad)),
-        "grad_product": 0.5 * float(np.einsum("ab,ba->", grad, grad)),
-        "ricci_quadratic": float(np.einsum("ab,a,b->", cb.ricci, val, val)) / 3.0,
-    }
+    terms = dict(zip(("divergence", "grad_product", "ricci_quadratic"),
+                     left_exponent(grad, cb.ricci, v(x))))
     if include_volume:
         _, logdet = manifold.metric_at(x)
         terms["volume"] = 0.5 * logdet
@@ -351,12 +366,8 @@ def product_jacobian_check(manifold, grid, v1, v2, side="right"):
 
     if side == "right":
         numeric = _dense_jacobian_logdet(grid, V1, V2, "right")
-        terms = {
-            "ricci_cross": float(np.sum(np.einsum("...ab,...a,...b->...",
-                                                  ric, V2, V1))) / 3.0,
-            "ricci_first": float(np.sum(np.einsum("...ab,...a,...b->...",
-                                                  ric, V1, V1))) / 6.0,
-        }
+        terms = {"ricci_cross": -2.0 * right_exponent(ric, V2, V1),
+                 "ricci_first": -right_exponent(ric, V1)}
         terms.update(_christoffel_diagonal_terms(grid, V1))
     else:
         # pointwise coefficients keep the map strictly local in V1; chart
@@ -393,19 +404,15 @@ def _left_derivative_data(grid, V1, v1, V2, coeffs):
 
 
 def _left_exponent_terms(grid, V1, V2, coeffs, ric, v1=None):
+    """Left exponent of the first factor minus that of the composed field."""
     d1_1, comp, dcomp = _left_derivative_data(grid, V1, v1, V2, coeffs)
-    return {
-        "div_composed": float(np.sum(np.einsum("...aa->...", dcomp))),
-        "div_first": -float(np.sum(np.einsum("...aa->...", d1_1))),
-        "grad_composed": -0.5 * float(np.sum(np.einsum("...ab,...ba->...",
-                                                       dcomp, dcomp))),
-        "grad_first": 0.5 * float(np.sum(np.einsum("...ab,...ba->...",
-                                                   d1_1, d1_1))),
-        "ricci_composed": -float(np.sum(np.einsum("...ab,...a,...b->...",
-                                                  ric, comp, comp))) / 3.0,
-        "ricci_first": float(np.sum(np.einsum("...ab,...a,...b->...",
-                                              ric, V1, V1))) / 3.0,
-    }
+    terms = {}
+    for key, first, composed in zip(("div", "grad", "ricci"),
+                                    left_exponent(d1_1, ric, V1),
+                                    left_exponent(dcomp, ric, comp)):
+        terms[f"{key}_composed"] = -composed
+        terms[f"{key}_first"] = first
+    return terms
 
 
 def _sample(v, coords):
@@ -419,40 +426,28 @@ def _sample(v, coords):
     return v.copy()
 
 
-def invariance_check(manifold, grid, v1, v2, side="right"):
-    """Direct Haar-invariance statement on the lattice.
+def invariance_check(manifold, grid, v1, v2):
+    """Direct right Haar-invariance statement on the lattice.
 
     The measure transforms with the inverse Jacobian of the composition:
 
-    right:  -numeric_logdet + right-exponent(v2)  = right-exponent(composed),
-    left:   -numeric_logdet + left-exponent(v1)   = left-exponent(composed),
+        -numeric_logdet + right-exponent(v2) = right-exponent(composed)
 
-    each up to O(eps^3); on the right the itemized Christoffel-diagonal
-    lattice traces are removed from the numeric log-determinant first (they
-    belong to the lattice realization, not the continuum statement).
-    Returns the defect.
+    up to O(eps^3); the itemized Christoffel-diagonal lattice traces are
+    removed from the numeric log-determinant first (they belong to the
+    lattice realization, not the continuum statement).  Returns the defect.
+    The left statement is ``product_jacobian_check(side="left")["residual"]``.
     """
     coords = grid.coords()
     V1 = _sample(v1, coords)
     V2 = _sample(v2, coords)
     grid.check_amplitude(V1, V2)
     ric = grid.geometry()["ricci"]
-
-    def right_exp(V):
-        return -float(np.sum(np.einsum("...ab,...a,...b->...", ric, V, V))) / 6.0
-
-    if side == "right":
-        comp = compose_field(grid, V1, V2)
-        numeric = _dense_jacobian_logdet(grid, V1, V2, "right")
-        lattice = _christoffel_diagonal_terms(grid, V1)
-        defect = (-(numeric - sum(lattice.values())) + right_exp(V2)) - right_exp(comp)
-    else:
-        coeffs = _pointwise_coeffs(grid, v2)
-        numeric = _dense_jacobian_logdet(grid, V1, V2, "left", coeffs=coeffs)
-        terms = _left_exponent_terms(grid, V1, V2, coeffs, ric, v1=v1)
-        # formula == left-exp(v1) - left-exp(composed) assembled from the same
-        # derivative data, so the defect is numeric minus that difference
-        defect = numeric - float(sum(terms.values()))
+    comp = compose_field(grid, V1, V2)
+    numeric = _dense_jacobian_logdet(grid, V1, V2, "right")
+    lattice = _christoffel_diagonal_terms(grid, V1)
+    defect = ((-(numeric - sum(lattice.values())) + right_exponent(ric, V2))
+              - right_exponent(ric, comp))
     return float(defect)
 
 
@@ -513,12 +508,8 @@ def normal_metric_expansion_check(manifold, x0, radius=0.1, n_rings=3,
 def _displacement_field(grid, V):
     """Third-order expansion displacement T(x) = Y(x) - x at each grid point."""
     geom = grid.geometry()
-    gam, dgam = geom["gamma"], geom["dgamma"]
-    coeff = (-np.einsum("...dabc->...abcd", dgam)
-             + 2.0 * np.einsum("...ade,...ebc->...abcd", gam, gam))
-    return (V
-            - 0.5 * np.einsum("...abc,...b,...c->...a", gam, V, V)
-            + np.einsum("...abcd,...b,...c,...d->...a", coeff, V, V, V) / 6.0)
+    second, third = series_terms(geom["gamma"], geom["dgamma"], V)
+    return V + second + third
 
 
 def _displacement_jacobian_blocks(grid, V, step=1e-7):
@@ -590,9 +581,8 @@ def diffeo_measure_check(manifold, grid, v):
 
     # covariant formula (the left-exponent), pointwise covariant derivatives
     covV = dV + np.einsum("...abc,...c->...ab", gam, V)
-    covariant = (-float(np.sum(np.einsum("...aa->...", covV)))
-                 + 0.5 * float(np.sum(np.einsum("...ab,...ba->...", covV, covV)))
-                 + float(np.sum(np.einsum("...ab,...a,...b->...", ric, V, V))) / 3.0)
+    divergence, grad_product, ricci_term = left_exponent(covV, ric, V)
+    covariant = divergence + grad_product + ricci_term
 
     # non-covariant pieces: Gamma-trace terms of the printed passive Jacobian
     gtrace = np.einsum("...aab->...b", gam)            # Gamma^a_{ab}
@@ -603,9 +593,7 @@ def diffeo_measure_check(manifold, grid, v):
                                                  cov_gtrace, V, V))))
     # measured non-covariant content of the sqrt(h)-ratio: subtract its
     # covariant prediction -(div - 1/2 grad grad - 1/2 R v v)
-    sqrt_ratio_covariant = -(float(np.sum(np.einsum("...aa->...", covV)))
-                             - 0.5 * float(np.sum(np.einsum("...ab,...ba->...",
-                                                            covV, covV)))
+    sqrt_ratio_covariant = -(-divergence - grad_product
                              - 0.5 * float(np.sum(np.einsum("...ab,...a,...b->...",
                                                             ric, V, V))))
     nc_measured = sqrt_ratio - sqrt_ratio_covariant

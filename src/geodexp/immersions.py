@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IrregularImmersionError
-from .manifolds import euclidean, sphere
+from .manifolds import christoffel_from, euclidean, sphere
 from .stencils import PeriodicLattice
 
 __all__ = [
@@ -226,11 +226,8 @@ class Immersion:
     def christoffel(self):
         """Intrinsic Gamma^a_{bc} of the induced metric, via grid stencils."""
         def build():
-            ginv = self.metric_inv()
             dg = self.grid.gradient(self.metric())   # (*shape, c, a, b)
-            return 0.5 * (np.einsum("...ad,...bdc->...abc", ginv, dg)
-                          + np.einsum("...ad,...cdb->...abc", ginv, dg)
-                          - np.einsum("...ad,...dbc->...abc", ginv, dg))
+            return christoffel_from(self.metric_inv(), dg)
         return self._cached("christoffel", build)
 
     def intrinsic_riemann_lower(self):

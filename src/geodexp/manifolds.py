@@ -19,6 +19,7 @@ Ricci = +h and the Poincare half-plane Ricci = -h.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import dataclass
 
@@ -84,6 +85,28 @@ class ChartDomain:
             if math.isfinite(self.upper[i]):
                 c = min(c, self.upper[i] - xi)
         return c
+
+
+def christoffel_from(h_inv, dh):
+    """Gamma^a_{bc} = 1/2 h^{ad} (d_b h_dc + d_c h_db - d_d h_bc), with
+    ``dh[..., c, a, b] = d_c h_ab``, over any leading point axes."""
+    return 0.5 * (np.einsum("...ad,...bdc->...abc", h_inv, dh)
+                  + np.einsum("...ad,...cdb->...abc", h_inv, dh)
+                  - np.einsum("...ad,...dbc->...abc", h_inv, dh))
+
+
+def series_terms(gamma, dgamma, v):
+    """Second- and third-order geodesic-expansion increments over any leading
+    point axes, -1/2 Gamma v v and 1/6 (-d Gamma + 2 Gamma Gamma) v v v, with
+    ``dgamma[..., d, a, b, c] = d_d Gamma^a_{bc}``; the third is None when
+    ``dgamma`` is."""
+    second = -0.5 * np.einsum("...abc,...b,...c->...a", gamma, v, v)
+    if dgamma is None:
+        return second, None
+    coeff = (-np.einsum("...dabc->...abcd", dgamma)
+             + 2.0 * np.einsum("...ade,...ebc->...abcd", gamma, gamma))
+    third = np.einsum("...abcd,...b,...c,...d->...a", coeff, v, v, v) / 6.0
+    return second, third
 
 
 @dataclass(frozen=True)
@@ -182,30 +205,23 @@ class ManifoldSpec:
 
     # -- metric derivatives --------------------------------------------------
 
-    def d_metric(self, x, step=None):
+    def d_metric(self, x):
         """d_c h_ab as an (n, n, n) array (index order c, a, b)."""
         x = np.asarray(x, dtype=float)
-        if self.d_metric_fn is not None and step is None:
+        if self.d_metric_fn is not None:
             return np.asarray(self.d_metric_fn(x), dtype=float)
         self.require_inside(x, stencil=True)
-        return partials(self.metric, x, self.fd_step if step is None else step)
+        return partials(self.metric, x, self.fd_step)
 
-    def dd_metric(self, x, step=None):
+    def dd_metric(self, x):
         """d_c d_d h_ab as an (n, n, n, n) array, symmetric in (c, d)."""
         x = np.asarray(x, dtype=float)
-        if self.dd_metric_fn is not None and step is None:
+        if self.dd_metric_fn is not None:
             return np.asarray(self.dd_metric_fn(x), dtype=float)
         self.require_inside(x, stencil=True)
-        return second_partials(self.metric, x, self.fd_step if step is None else step)
+        return second_partials(self.metric, x, self.fd_step)
 
     # -- connection and curvature ---------------------------------------------
-
-    @staticmethod
-    def _christoffel_from(h_inv, dh):
-        # Gamma^a_bc = 1/2 h^{ad} (d_b h_dc + d_c h_db - d_d h_bc)
-        return 0.5 * (np.einsum("ad,bdc->abc", h_inv, dh)
-                      + np.einsum("ad,cdb->abc", h_inv, dh)
-                      - np.einsum("ad,dbc->abc", h_inv, dh))
 
     @staticmethod
     def _dchristoffel_from(h_inv, dh, ddh):
@@ -221,7 +237,7 @@ class ManifoldSpec:
 
     def christoffel(self, x):
         """Gamma^a_{bc} at x."""
-        return self._christoffel_from(self.inverse_metric(x), self.d_metric(x))
+        return christoffel_from(self.inverse_metric(x), self.d_metric(x))
 
     def d_christoffel(self, x):
         """d_c Gamma^a_{bd} indexed [c, a, b, d].
@@ -232,31 +248,17 @@ class ManifoldSpec:
         return self._dchristoffel_from(self.inverse_metric(x), self.d_metric(x),
                                        self.dd_metric(x))
 
-    def curvature_at(self, x, validate=False):
+    def curvature_at(self, x):
         """Connection and curvature bundle at x.
 
         Uses analytic metric derivatives when supplied, else 4th-order central
-        differences.  With ``validate=True`` the Riemann symmetries and first
-        Bianchi identity are checked against ``10 * fd_step**2 * scale`` and a
-        Richardson-extrapolated recomputation is attempted on failure.
+        differences.
         """
         x = np.asarray(x, dtype=float)
         self.require_inside(x, stencil=self.d_metric_fn is None)
-        bundle = self._curvature(x)
-        if validate and not self._curvature_ok(bundle):
-            bundle = self._curvature(x, richardson=True)
-        return bundle
-
-    def _curvature(self, x, richardson=False):
         h_inv = self.inverse_metric(x)
-        if not richardson:
-            dh, ddh = self.d_metric(x), self.dd_metric(x)
-        else:
-            # Richardson fallback: eliminate the O(step^4) term of the stencil.
-            s = self.fd_step
-            dh = (16.0 * self.d_metric(x, step=s / 2) - self.d_metric(x, step=s)) / 15.0
-            ddh = (16.0 * self.dd_metric(x, step=s / 2) - self.dd_metric(x, step=s)) / 15.0
-        gamma = self._christoffel_from(h_inv, dh)
+        dh, ddh = self.d_metric(x), self.dd_metric(x)
+        gamma = christoffel_from(h_inv, dh)
         dgamma = self._dchristoffel_from(h_inv, dh, ddh)
         riemann = (np.einsum("cabd->abcd", dgamma) - np.einsum("dabc->abcd", dgamma)
                    + np.einsum("ace,ebd->abcd", gamma, gamma)
@@ -264,18 +266,6 @@ class ManifoldSpec:
         ricci = np.einsum("cacb->ab", riemann)
         return CurvatureBundle(point=x, gamma=gamma, dgamma=dgamma,
                                riemann=riemann, ricci=ricci)
-
-    def _curvature_ok(self, bundle):
-        scale = max(1.0, float(np.max(np.abs(bundle.riemann))))
-        tol = 10.0 * self.fd_step ** 2 * scale
-        h = self.metric(bundle.point)
-        rl = bundle.riemann_lower(h)
-        anti_cd = np.max(np.abs(rl + np.einsum("abdc->abcd", rl)))
-        anti_ab = np.max(np.abs(rl + np.einsum("bacd->abcd", rl)))
-        bianchi = np.max(np.abs(bundle.riemann
-                                + np.einsum("acdb->abcd", bundle.riemann)
-                                + np.einsum("adbc->abcd", bundle.riemann)))
-        return max(anti_cd, anti_ab, bianchi) <= tol
 
     def trust_radius(self, x=None):
         """Default expansion gate: half the injectivity-radius estimate."""
@@ -482,6 +472,48 @@ _EXPR_NAMES = {name: getattr(np, name) for name in
                ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh",
                 "tanh", "arcsin", "arccos", "arctan", "abs")}
 _EXPR_NAMES["pi"] = math.pi
+_EXPR_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.FloorDiv, ast.Mod, ast.Pow,
+             ast.UAdd, ast.USub)
+
+
+def _is_arithmetic(node, dim):
+    """True when the expression tree uses only numeric literals, arithmetic,
+    ``x0 .. x{dim-1}``, ``x[i]`` with a literal i, ``pi`` and calls of the
+    ``_EXPR_NAMES`` functions."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.BinOp):
+        return (isinstance(node.op, _EXPR_OPS) and _is_arithmetic(node.left, dim)
+                and _is_arithmetic(node.right, dim))
+    if isinstance(node, ast.UnaryOp):
+        return isinstance(node.op, _EXPR_OPS) and _is_arithmetic(node.operand, dim)
+    if isinstance(node, ast.Name):
+        return node.id == "pi" or node.id in {f"x{i}" for i in range(dim)}
+    if isinstance(node, ast.Subscript):
+        index = node.slice
+        return (isinstance(node.value, ast.Name) and node.value.id == "x"
+                and isinstance(index, ast.Constant) and type(index.value) is int
+                and 0 <= index.value < dim)
+    if isinstance(node, ast.Call):
+        return (isinstance(node.func, ast.Name) and callable(_EXPR_NAMES.get(node.func.id))
+                and not node.keywords
+                and all(_is_arithmetic(arg, dim) for arg in node.args))
+    return False
+
+
+def _compile_entry(text, a, b, dim):
+    where = f"metric entry [{a}][{b}] {text!r}"
+    if not isinstance(text, str):
+        raise ValueError(f"{where}: expected an expression string")
+    try:
+        tree = ast.parse(text, f"<metric[{a}][{b}]>", mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"{where}: {exc.msg}") from None
+    if not _is_arithmetic(tree.body, dim):
+        raise ValueError(f"{where}: only numbers, arithmetic, x0..x{dim - 1}, x[i], "
+                         f"pi and {', '.join(n for n in _EXPR_NAMES if n != 'pi')} "
+                         "are allowed")
+    return compile(tree, f"<metric[{a}][{b}]>", "eval")
 
 
 def from_expression(dim, entries, fd_step=1e-3, lower=None, upper=None,
@@ -489,10 +521,11 @@ def from_expression(dim, entries, fd_step=1e-3, lower=None, upper=None,
     """Manifold whose metric entries are numeric expression strings.
 
     ``entries[a][b]`` is evaluated with coordinates bound to ``x0 .. x{n-1}``
-    (and ``x``, the full array) in a restricted numpy namespace.  Metric
-    derivatives fall back to finite differences.
+    (and ``x``, the full array, indexed by integer literals) in a restricted
+    numpy namespace; any other name, attribute or call raises ValueError.
+    Metric derivatives fall back to finite differences.
     """
-    compiled = [[compile(entries[a][b], f"<metric[{a}][{b}]>", "eval")
+    compiled = [[_compile_entry(entries[a][b], a, b, dim)
                  for b in range(dim)] for a in range(dim)]
 
     def h(x):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviations import xi_invariant
+from .haar import left_exponent, right_exponent
 
 __all__ = [
     "FunctionalWeight",
@@ -65,10 +66,8 @@ def functional_right_measure_log(dev, include_prefactors=True):
     imm = bg.immersion
     _, rie = imm.ambient_curvature()
     ricci = np.einsum("...nmnr->...mr", rie)
-    quad = np.einsum("...mr,...m,...r->...", ricci, dev.samples, dev.samples)
-    terms = {
-        "ricci_exponent": -float(np.sum(_measure_density(imm) * quad)) / 6.0,
-    }
+    terms = {"ricci_exponent": right_exponent(ricci, dev.samples,
+                                              weight=_measure_density(imm))}
     if include_prefactors:
         terms["prefactor_h"] = 0.5 * float(np.sum(_ambient_logdet(imm)))
         terms["prefactor_g"] = 0.5 * imm.D * float(
@@ -83,22 +82,11 @@ def eta_measure_log(eta, include_prefactors=True):
     imm = bg.immersion
     e = eta.samples
     cov = bg.grid.cov_vector(e, imm.christoffel())        # nabla_b eta^a -> [a, b]
-    div = np.einsum("...aa->...", cov)
-    grad_sq = 0.5 * np.einsum("...ab,...ba->...", cov, cov)
-    if imm.d == 1:
-        ricci_quad = np.zeros(imm.grid.shape)
-    else:
-        rint = imm.intrinsic_riemann_lower()
-        ginv = imm.metric_inv()
-        # R_bd = g^{ac} R_abcd  (intrinsic Ricci from the lowered Riemann)
-        ric = np.einsum("...ac,...abcd->...bd", ginv, rint)
-        ricci_quad = np.einsum("...bd,...b,...d->...", ric, e, e) / 3.0
-    dens = _measure_density(imm)
-    terms = {
-        "divergence": -float(np.sum(dens * div)),
-        "grad_product": float(np.sum(dens * grad_sq)),
-        "ricci": float(np.sum(dens * ricci_quad)),
-    }
+    # R_bd = g^{ac} R_abcd  (intrinsic Ricci from the lowered Riemann; 0 for d = 1)
+    ric = np.einsum("...ac,...abcd->...bd", imm.metric_inv(),
+                    imm.intrinsic_riemann_lower())
+    terms = dict(zip(("divergence", "grad_product", "ricci"),
+                     left_exponent(cov, ric, e, weight=_measure_density(imm))))
     if include_prefactors:
         terms["prefactor_g"] = float(np.sum(np.log(imm.sqrt_g())))
         terms["prefactor_gN"] = 0.5 * imm.d * float(

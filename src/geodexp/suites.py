@@ -20,6 +20,7 @@ from . import immersions as im
 from . import manifolds as mf
 from . import measures as ms
 from .convergence import fit_loglog_slope
+from .errors import GeodexpError
 
 __all__ = ["CheckResult", "SuiteReport", "run_suite", "sweep",
            "SUITES", "CHECKS", "SWEEPS"]
@@ -526,11 +527,21 @@ SUITES = {
 }
 
 
+def _run_check(cid, config):
+    """One check's result; a package error it raises becomes a FAIL row that
+    carries the message, so the remaining checks still run."""
+    try:
+        return CHECKS[cid](config)
+    except GeodexpError as exc:
+        return CheckResult(cid, f"raised {type(exc).__name__}", {"error": math.nan},
+                           str(exc), False)
+
+
 def run_suite(config, suite):
     """Execute a named suite; check failures are reported, not raised."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite '{suite}' (have {sorted(SUITES)})")
-    checks = [CHECKS[cid](config) for cid in SUITES[suite]]
+    checks = [_run_check(cid, config) for cid in SUITES[suite]]
     from . import __version__
 
     gridspec = config.get("grid", {})

@@ -99,3 +99,23 @@ def test_action_table():
 def test_usage_error_exit_code():
     r = run_cli("verify", "nosuchsuite")
     assert r.returncode == 2
+
+
+def test_raising_check_becomes_fail_row(monkeypatch, tmp_path, capsys):
+    from geodexp import cli, suites
+    from geodexp.errors import LatticeError
+
+    def raises(config):
+        raise LatticeError("lattice too coarse")
+
+    def passes(config):
+        return suites.CheckResult("A2", "stub", {"x": 1.0}, "none", True)
+
+    monkeypatch.setitem(suites.CHECKS, "A1", raises)
+    monkeypatch.setitem(suites.CHECKS, "A2", passes)
+    out = tmp_path / "report.csv"
+    assert cli.main(["verify", "geodesic", "--out", str(out)]) == cli.EXIT_FAIL
+    stdout = capsys.readouterr().out
+    assert "[FAIL] A1 raised LatticeError (lattice too coarse)" in stdout
+    assert "[PASS] A2 stub" in stdout
+    assert "A1,raised LatticeError,error,nan,,0" in out.read_text().splitlines()
