@@ -36,10 +36,6 @@ def _apply_overrides(config, args):
     return config
 
 
-def _parse_point(text):
-    return np.array([float(p) for p in text.split(",")])
-
-
 def _load(args):
     from .config import load_config
 
@@ -70,22 +66,34 @@ def cmd_sweep(args):
     return EXIT_PASS
 
 
+def _point_flag(args, flag, dim):
+    """The comma-separated point given by ``--flag``, which the verb requires,
+    with ``dim`` coordinates."""
+    text = getattr(args, flag)
+    if text is None:
+        raise ValueError(f"geodesic {args.verb} requires --{flag}")
+    point = np.array([float(p) for p in text.split(",")])
+    if point.size != dim:
+        raise ValueError(f"--{flag} has {point.size} coordinates, the manifold "
+                         f"has dimension {dim}")
+    return point
+
+
 def cmd_geodesic(args):
     from . import geodesics as gd
 
     config = _load(args)
     M = config.manifold()
     tol = config.shoot_tol()
+    x0 = _point_flag(args, "x0", M.dim)
     if args.verb == "shoot":
-        row = gd.shoot(M, _parse_point(args.x0), _parse_point(args.v),
-                       args.t, tol=tol)
+        row = gd.shoot(M, x0, _point_flag(args, "v", M.dim), args.t, tol=tol)
         note = ""
     elif args.verb == "log":
-        row = gd.log_map(M, _parse_point(args.x0), _parse_point(args.x1),
-                         tol=max(tol, 1e-11))
+        row = gd.log_map(M, x0, _point_flag(args, "x1", M.dim), tol=max(tol, 1e-11))
         note = ""
     else:
-        row, trusted = gd.expand3(M, _parse_point(args.x0), _parse_point(args.v),
+        row, trusted = gd.expand3(M, x0, _point_flag(args, "v", M.dim),
                                   order=args.order)
         note = "" if trusted else " (outside trust radius)"
     sys.stdout.write(" ".join(f"{c:.12f}" for c in row) + note + "\n")

@@ -74,6 +74,18 @@ def test_geodesic_verbs(tmp_path):
     assert r.returncode == 0
 
 
+def test_geodesic_point_usage_errors():
+    for args, flag in ((("log", "--x0", "1.0,0.3"), "--x1"),
+                       (("shoot", "--x0", "1.0,0.3"), "--v"),
+                       (("expand", "--x0", "1.0,0.3"), "--v"),
+                       (("log", "--x0", "1.0,0.3,0.2", "--x1", "1.1,0.3"), "--x0"),
+                       (("shoot", "--x0", "1.0,0.3", "--v", "0.1"), "--v"),
+                       (("expand", "--x0", "1.0,0.3", "--v", "0.1,0.2,0.0"), "--v")):
+        r = run_cli("geodesic", *args)
+        assert r.returncode == 2, args
+        assert flag in r.stderr and "Traceback" not in r.stderr, r.stderr
+
+
 def test_immersion_report():
     r = run_cli("immersion", "report")
     assert r.returncode == 0

@@ -78,6 +78,96 @@ def test_log_map_failure_signals_trust_radius(sphere):
                    np.array([1.0, 2.9]), max_iter=2)
 
 
+def _query_manifolds():
+    collar = 0.1
+    return {"sphere": mf.sphere(1.0, collar=collar),
+            "poincare": mf.poincare_half_plane(),
+            "expr_sphere": mf.from_expression(
+                2, [["1", "0"], ["0", "sin(x0)**2"]], lower=(collar, -math.inf),
+                upper=(math.pi - collar, math.inf), periodic=(False, True),
+                name="expr_sphere")}
+
+
+def _counting_shoot(monkeypatch, limit=math.inf):
+    """Replace geodesics.shoot with a counter that refuses |v|_max > limit."""
+    shoot = gd.shoot
+    calls = []
+
+    def counted(manifold, x0, v, *args, **kwargs):
+        reach = float(np.max(np.abs(v)))
+        if reach > limit:
+            raise AssertionError(f"trial velocity |v|_max = {reach:.3g} > {limit}")
+        calls.append(reach)
+        return shoot(manifold, x0, v, *args, **kwargs)
+
+    monkeypatch.setattr(gd, "shoot", counted)
+    return calls
+
+
+def test_log_map_shoot_count(monkeypatch, euclid2):
+    rng = np.random.Generator(np.random.PCG64(14))
+    queries = []
+    for kind, M in _query_manifolds().items():
+        for r in np.linspace(0.05, 0.4, 8):
+            if kind == "poincare":
+                x0 = np.array([rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)])
+            else:
+                x0 = np.array([rng.uniform(0.6, math.pi - 0.6),
+                               rng.uniform(-math.pi, math.pi)])
+            v = rng.normal(size=2)
+            v *= r / M.norm(x0, v)
+            queries.append((kind, M, x0, gd.shoot(M, x0, v, 1.0, tol=1e-12)))
+    calls = _counting_shoot(monkeypatch)
+    counts = {}
+    for kind, M, x0, x1 in queries:
+        calls.clear()
+        gd.log_map(M, x0, x1)
+        counts.setdefault(kind, []).append(len(calls))
+    for kind, per_query in counts.items():
+        assert max(per_query) <= 6, (kind, per_query)
+        assert np.mean(per_query) <= 4.5, (kind, per_query)
+    calls.clear()
+    gd.log_map(euclid2, np.array([0.1, 0.2]), np.array([-0.4, 0.9]))
+    assert len(calls) == 1
+
+
+def test_log_map_series_only_chooses_the_iterate(monkeypatch):
+    # a wrong series (Gamma Gamma coefficient 2 -> 1) may cost shoots, but
+    # the returned v is still the one the ODE oracle accepts
+    def gamma_gamma_once(gamma, dgamma, v):
+        second, third = series_terms(gamma, dgamma, v)
+        return second, third + np.einsum("abc,b,c->a", gamma, v, second) / 3.0
+
+    series_terms = mf.series_terms
+    tol = 1e-10
+    for kind, M in _query_manifolds().items():
+        x0 = np.array([0.3, 1.5]) if kind == "poincare" else np.array([1.1, 0.4])
+        x1 = gd.shoot(M, x0, np.array([0.25, -0.2]), 1.0, tol=1e-12)
+        right = gd.log_map(M, x0, x1, tol=tol)
+        monkeypatch.setattr(gd, "series_terms", gamma_gamma_once)
+        wrong = gd.log_map(M, x0, x1, tol=tol)
+        monkeypatch.undo()
+        assert np.abs(gd.shoot(M, x0, wrong, 1.0, tol=1e-12) - x1).max() < tol
+        assert np.abs(wrong - right).max() < 1e-9
+
+
+@pytest.mark.parametrize("kind, x0, x1", [
+    ("sphere", (1.9417180248618084, -2.9276484412044),
+     (2.6928506898155717, -0.6717178999866715)),
+    ("expr_sphere", (0.7426552424399223, 2.065899208588676),
+     (1.9513437052501836, 1.0756220584767364)),
+])
+def test_log_map_far_target_limits_the_step(monkeypatch, kind, x0, x1):
+    # without a step limit Newton tried |v|_max = 926 on the sphere, and that
+    # shoot ran for more than 30 s; the counting shoot fails fast past 10
+    M = _query_manifolds()[kind]
+    x0, x1 = np.array(x0), np.array(x1)
+    _counting_shoot(monkeypatch, limit=10.0)
+    v = gd.log_map(M, x0, x1)
+    monkeypatch.undo()
+    assert np.abs(gd.shoot(M, x0, v, 1.0, tol=1e-12) - x1).max() < 1e-10
+
+
 def test_expand3_euclidean_exact_all_orders(euclid2):
     x0 = np.array([0.2, 0.3])
     v = np.array([1.0, 2.0])

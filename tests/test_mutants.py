@@ -11,11 +11,12 @@ import sys
 import numpy as np
 import pytest
 
-from geodexp import haar, manifolds, suites
+from geodexp import deviations, haar, manifolds, suites
 from geodexp.config import default_config
 
 _RIGHT = haar.right_exponent
 _LEFT = haar.left_exponent
+_ACT = deviations.act_diffeo
 
 
 def _left_ricci_over_10(*args, **kwargs):
@@ -31,6 +32,17 @@ def _series_gamma_gamma_once(gamma, dgamma, v):
     coeff = (-np.einsum("...dabc->...abcd", dgamma)
              + np.einsum("...ade,...ebc->...abcd", gamma, gamma))
     return second, np.einsum("...abcd,...b,...c,...d->...a", coeff, v, v, v) / 6.0
+
+
+def _act_diffeo_double_second_form_derivative(dev, eta, order=3):
+    """act_diffeo with its second_form_derivative term counted twice."""
+    out = _ACT(dev, eta, order=order)
+    extra = out.terms.get("second_form_derivative")
+    if extra is None:
+        return out
+    return deviations.DeviationField(
+        out.background, out.samples + extra, out.scale,
+        dict(out.terms, second_form_derivative=2.0 * extra))
 
 
 def _christoffel_plus(h_inv, dh):
@@ -49,6 +61,8 @@ MUTANTS = [
                  id="series_terms-gamma-gamma-1"),
     pytest.param(manifolds, "christoffel_from", _christoffel_plus, ("A1", "A2", "A3"),
                  id="christoffel_from-plus-dh"),
+    pytest.param(deviations, "act_diffeo", _act_diffeo_double_second_form_derivative,
+                 ("A7",), id="act_diffeo-second-form-derivative-twice"),
     # A4 fits one slope over all scales; a 1/5 coefficient leaves a residual
     # that still falls at slope 3.53, above the 2.7 bound
     pytest.param(haar, "right_exponent", lambda *a, **k: _RIGHT(*a, **k) * 6.0 / 5.0,
