@@ -509,15 +509,11 @@ def reparametrization_oracle_error(dev, eta, order=3, tol=1e-12):
 
 
 def immersion_from_deviation(dev, order=3):
-    """Neighboring immersion: pointwise geodesic expansion of the deviation."""
-    bg = dev.background
-    imm = bg.immersion
-    flatX = imm.samples.reshape(-1, imm.D)
-    flatV = dev.samples.reshape(-1, imm.D)
-    out = np.empty_like(flatX)
-    for k in range(flatX.shape[0]):
-        out[k], _ = expand3(imm.ambient, flatX[k], flatV[k], order=order)
-    return Immersion(imm.grid, imm.ambient, out.reshape(imm.samples.shape),
+    """Neighboring immersion: pointwise geodesic expansion of the deviation,
+    one expand3 batch over the grid."""
+    imm = dev.background.immersion
+    out, _ = expand3(imm.ambient, imm.samples, dev.samples, order=order)
+    return Immersion(imm.grid, imm.ambient, out,
                      normalization=imm.normalization, quad_factor=imm.quad_factor,
                      mask=imm.mask, winding=imm.winding,
                      name=f"{imm.name}+deviation")

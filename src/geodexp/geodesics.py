@@ -17,7 +17,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import ChartDomainError, NoUniqueGeodesicError, StiffnessError
-from .manifolds import ManifoldSpec, VectorField, constant_field, series_terms
+from .manifolds import (ManifoldSpec, as_field, covariant_derivative, group_product,
+                        series_terms)
 from .stencils import partials
 
 __all__ = [
@@ -165,11 +166,12 @@ def log_map(manifold, x0, x1, tol=1e-10, max_iter=30):
 
 
 def expand3(manifold, x0, v, order=3, trust_radius=None):
-    """Truncated geodesic expansion X0 + v - (1/2)Gamma v v + (1/6)(...) vvv.
+    """Truncated geodesic expansion X0 + v - (1/2)Gamma v v + (1/6)(...) vvv
+    at base points x0 of shape (..., n).
 
-    Returns ``(endpoint, trusted)`` where ``trusted`` is False when the
-    generator norm exceeds the trust radius (warning flag, not fatal; needed
-    for convergence sweeps).
+    Returns ``(endpoint, trusted)`` where ``trusted`` is False (per point)
+    when the generator norm exceeds the trust radius (warning flag, not fatal;
+    needed for convergence sweeps).
     """
     if order not in (1, 2, 3):
         raise ValueError("order must be 1, 2 or 3")
@@ -195,23 +197,15 @@ def compose3(manifold, x0, v1, v2, curvature=None):
     chart-constant fields).  All quantities are evaluated at x0:
 
         v = v1 + v2 + v1.D v2 + 1/2 v1 v1 DD v2
-            + 1/3 R^a_{bcd} (v2 + v1/2)^b v2^c v1^d
+            + 1/3 R^a_{bcd} (v2 + v1/2)^b v2^c v1^d   (``group_product``)
     """
-    from .manifolds import covariant_derivative
-
     x0 = np.asarray(x0, dtype=float)
     v1 = np.asarray(v1, dtype=float)
-    field = v2 if isinstance(v2, VectorField) else constant_field(v2)
+    field = as_field(v2)
     cb = curvature if curvature is not None else manifold.curvature_at(x0)
-    val2 = field(x0)
     d1 = covariant_derivative(manifold, field, x0, order=1, curvature=cb)
     d2 = covariant_derivative(manifold, field, x0, order=2, curvature=cb)
-    composed = (v1 + val2
-                + np.einsum("b,ab->a", v1, d1)
-                + 0.5 * np.einsum("b,c,abc->a", v1, v1, d2)
-                + np.einsum("abcd,b,c,d->a", cb.riemann,
-                            val2 + 0.5 * v1, val2, v1) / 3.0)
-    return composed
+    return group_product(v1, field(x0), d1, d2, cb.riemann)
 
 
 def invert3(manifold, x0, v):
@@ -273,8 +267,12 @@ class NormalChart:
         return hit
 
     def metric(self, y, step=None):
-        """Pullback metric h^Y(y) = J^T h(x(y)) J with J = dx/dY by stencil."""
+        """Pullback metric h^Y(y) = J^T h(x(y)) J with J = dx/dY by stencil, at
+        points of shape (..., n); each point takes its own ODE solves."""
         y = np.asarray(y, dtype=float)
+        if y.ndim > 1:
+            flat = np.array([self.metric(p, step) for p in y.reshape(-1, y.shape[-1])])
+            return flat.reshape(y.shape[:-1] + flat.shape[1:])
         s = step if step is not None else max(1e-4, 2e-3 * self.radius)
         jac = np.ascontiguousarray(partials(self.from_normal, y, s).T)
         h = self.manifold.metric(self.from_normal(y))

@@ -43,8 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitError, LatticeError
-from .manifolds import (CurvatureBundle, VectorField, constant_field,
-                        covariant_derivative, series_terms)
+from .manifolds import (VectorField, as_field, covariant_derivative, group_product,
+                        series_terms)
 from .stencils import D1, PeriodicLattice
 
 __all__ = [
@@ -143,42 +143,20 @@ class FieldGrid(PeriodicLattice):
         self._geom = None
 
     def geometry(self):
-        """Cached per-point h, log|h|, Gamma, dGamma, Riemann, Ricci."""
+        """Cached h, log|h|, Gamma, dGamma, Riemann and Ricci over the sites,
+        shape (*shape, ...), from one metric and one curvature batch (whose
+        CurvatureBundle is kept as ``bundle``)."""
         if self._geom is None:
-            pts = self.coords().reshape(-1, self.d)
-            n = self.d
-            h = np.empty((len(pts), n, n))
-            logh = np.empty(len(pts))
-            gam = np.empty((len(pts), n, n, n))
-            dgam = np.empty((len(pts), n, n, n, n))
-            rie = np.empty((len(pts), n, n, n, n))
-            ric = np.empty((len(pts), n, n))
-            for k, x in enumerate(pts):
-                h[k], logh[k] = self.manifold.metric_at(x)
-                cb = self.manifold.curvature_at(x)
-                gam[k] = cb.gamma
-                dgam[k] = cb.dgamma
-                rie[k] = cb.riemann
-                ric[k] = cb.ricci
-            s = self.shape
-            self._geom = {
-                "h": h.reshape(s + (n, n)),
-                "logh": logh.reshape(s),
-                "gamma": gam.reshape(s + (n,) * 3),
-                "dgamma": dgam.reshape(s + (n,) * 4),
-                "riemann": rie.reshape(s + (n,) * 4),
-                "ricci": ric.reshape(s + (n, n)),
-            }
+            pts = self.coords()
+            h, logh = self.manifold.metric_at(pts)
+            cb = self.manifold.curvature_at(pts)
+            self._geom = {"h": h, "logh": logh, "bundle": cb, "gamma": cb.gamma,
+                          "dgamma": cb.dgamma, "riemann": cb.riemann, "ricci": cb.ricci}
         return self._geom
 
-    def bundles(self):
-        """Yield ``(point, CurvatureBundle)`` per site in C order; the bundle
-        arrays are views of the cached geometry, not recomputations."""
-        geom = self.geometry()
-        flat = {key: geom[key].reshape((self.npoints,) + geom[key].shape[self.d:])
-                for key in ("gamma", "dgamma", "riemann", "ricci")}
-        for k, x in enumerate(self.coords().reshape(-1, self.d)):
-            yield x, CurvatureBundle(point=x, **{key: a[k] for key, a in flat.items()})
+    def curvature(self):
+        """The sites' cached CurvatureBundle."""
+        return self.geometry()["bundle"]
 
     def check_amplitude(self, *fields):
         amp = max(float(np.abs(f).max()) for f in fields)
@@ -203,31 +181,7 @@ def compose_field(grid, V1, V2, coeffs=None):
         d2 = grid.cov2_vector_sym(V2, geom["gamma"])
     else:
         d1, d2 = coeffs
-    return (V1 + V2
-            + np.einsum("...b,...ab->...a", V1, d1)
-            + 0.5 * np.einsum("...b,...c,...abc->...a", V1, V1, d2)
-            + np.einsum("...abcd,...b,...c,...d->...a", geom["riemann"],
-                        V2 + 0.5 * V1, V2, V1) / 3.0)
-
-
-def _pointwise_coeffs(grid, v2):
-    """Per-point covariant derivatives of the second factor, via the chart
-    machinery (no box stencils): d1[a,b] = nabla_b v2^a,
-    d2[a,b,c] = nabla_c nabla_b v2^a (unsymmetrized)."""
-    if not isinstance(v2, VectorField):
-        v2 = np.asarray(v2, dtype=float)
-        if v2.ndim != 1:
-            raise TypeError("left-side checks need the second factor as a "
-                            "VectorField or constant components (its pointwise "
-                            "derivatives enter the map)")
-    field = v2 if isinstance(v2, VectorField) else constant_field(v2)
-    n = grid.d
-    d1 = np.empty((grid.npoints, n, n))
-    d2 = np.empty((grid.npoints, n, n, n))
-    for k, (x, cb) in enumerate(grid.bundles()):
-        d1[k] = covariant_derivative(grid.manifold, field, x, order=1, curvature=cb)
-        d2[k] = covariant_derivative(grid.manifold, field, x, order=2, curvature=cb)
-    return (d1.reshape(grid.shape + (n, n)), d2.reshape(grid.shape + (n, n, n)))
+    return group_product(V1, V2, d1, d2, geom["riemann"])
 
 
 def _footprint(ndim, side):
@@ -358,11 +312,11 @@ def product_jacobian_check(manifold, grid, v1, v2, side="right"):
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    coords = grid.coords()
-    V1 = _sample(v1, coords)
-    V2 = _sample(v2, coords)
+    f1, f2 = as_field(v1), as_field(v2)
+    cb = grid.curvature()
+    V1, V2 = f1(cb.point), f2(cb.point)
     grid.check_amplitude(V1, V2)
-    ric = grid.geometry()["ricci"]
+    ric = cb.ricci
 
     if side == "right":
         numeric = _dense_jacobian_logdet(grid, V1, V2, "right")
@@ -373,57 +327,35 @@ def product_jacobian_check(manifold, grid, v1, v2, side="right"):
         # pointwise coefficients keep the map strictly local in V1; chart
         # data on a box is not box-periodic, so coefficient fields must not
         # be differentiated by the wrapping stencils here
-        coeffs = _pointwise_coeffs(grid, v2)
+        coeffs = tuple(covariant_derivative(grid.manifold, f2, cb.point, order=k, curvature=cb)
+                       for k in (1, 2))
         numeric = _dense_jacobian_logdet(grid, V1, V2, "left", coeffs=coeffs)
-        terms = _left_exponent_terms(grid, V1, V2, coeffs, ric, v1=v1)
+        terms = _left_exponent_terms(grid, f1, V1, V2, coeffs)
     formula = float(sum(terms.values()))
     return {"numeric_logdet": numeric, "formula_logdet": formula,
             "residual": numeric - formula, "terms": terms}
 
 
-def _left_derivative_data(grid, V1, v1, V2, coeffs):
-    """Pointwise nabla V1 and the composed field with its covariant gradient
+def _left_exponent_terms(grid, f1, V1, V2, coeffs):
+    """Left exponent of the first factor minus that of the composed field,
+    from pointwise nabla V1 and the composed field's covariant gradient
     through second order in the generators."""
     d1_2, d2_2 = coeffs
-    if isinstance(v1, VectorField):
-        n = grid.d
-        d1_1 = np.empty((grid.npoints, n, n))
-        for k, (x, cb) in enumerate(grid.bundles()):
-            d1_1[k] = covariant_derivative(grid.manifold, v1, x, order=1, curvature=cb)
-        d1_1 = d1_1.reshape(grid.shape + (n, n))
-    else:
-        gam = grid.geometry()["gamma"]
-        d1_1 = np.einsum("...abc,...c->...ab", gam, V1)
+    cb = grid.curvature()
+    d1_1 = covariant_derivative(grid.manifold, f1, cb.point, order=1, curvature=cb)
     comp = compose_field(grid, V1, V2, coeffs=coeffs)
     # nabla comp = nabla V1 + nabla V2 + (nabla V1)(nabla V2) + V1 nabla nabla V2
     # (+ O(eps^3), inside the residual budget); d2_2[a,b,c] = nabla_c nabla_b
     dcomp = (d1_1 + d1_2
              + np.einsum("...ac,...cb->...ab", d1_2, d1_1)
              + np.einsum("...c,...acb->...ab", V1, d2_2))
-    return d1_1, comp, dcomp
-
-
-def _left_exponent_terms(grid, V1, V2, coeffs, ric, v1=None):
-    """Left exponent of the first factor minus that of the composed field."""
-    d1_1, comp, dcomp = _left_derivative_data(grid, V1, v1, V2, coeffs)
     terms = {}
     for key, first, composed in zip(("div", "grad", "ricci"),
-                                    left_exponent(d1_1, ric, V1),
-                                    left_exponent(dcomp, ric, comp)):
+                                    left_exponent(d1_1, cb.ricci, V1),
+                                    left_exponent(dcomp, cb.ricci, comp)):
         terms[f"{key}_composed"] = -composed
         terms[f"{key}_first"] = first
     return terms
-
-
-def _sample(v, coords):
-    if isinstance(v, VectorField):
-        flat = coords.reshape(-1, coords.shape[-1])
-        vals = np.stack([v(x) for x in flat])
-        return vals.reshape(coords.shape)
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 1:
-        return np.broadcast_to(v, coords.shape).copy()
-    return v.copy()
 
 
 def invariance_check(manifold, grid, v1, v2):
@@ -439,8 +371,7 @@ def invariance_check(manifold, grid, v1, v2):
     The left statement is ``product_jacobian_check(side="left")["residual"]``.
     """
     coords = grid.coords()
-    V1 = _sample(v1, coords)
-    V2 = _sample(v2, coords)
+    V1, V2 = as_field(v1)(coords), as_field(v2)(coords)
     grid.check_amplitude(V1, V2)
     ric = grid.geometry()["ricci"]
     comp = compose_field(grid, V1, V2)
@@ -468,11 +399,8 @@ def normal_metric_expansion_check(manifold, x0, radius=0.1, n_rings=3,
         raise NotImplementedError("sampling pattern implemented for dim 2")
     radii = radius * (np.arange(1, n_rings + 1) / n_rings)
     angles = np.arange(n_angles) * (2.0 * math.pi / n_angles) + 0.1
-    samples = []
-    for r in radii:
-        for a in angles:
-            samples.append([r * math.cos(a), r * math.sin(a)])
-    samples = np.array(samples)
+    rr, aa = np.meshgrid(radii, angles, indexing="ij")
+    samples = np.stack([rr * np.cos(aa), rr * np.sin(aa)], axis=-1).reshape(-1, n)
 
     h0 = chart.metric(np.zeros(n))
     monomials = [(c, d) for c in range(n) for d in range(c, n)]
@@ -482,7 +410,7 @@ def normal_metric_expansion_check(manifold, x0, radius=0.1, n_rings=3,
     if cond > rcond_limit:
         raise FitError(f"quadratic fit design condition number {cond:.3g}")
 
-    targets = np.stack([chart.metric(y) for y in samples])   # (ns, n, n)
+    targets = chart.metric(samples)                           # (ns, n, n)
     fitted = np.zeros((n, n, n, n))
     for a in range(n):
         for b in range(a, n):
@@ -526,22 +454,6 @@ def _displacement_jacobian_blocks(grid, V, step=1e-7):
     return blocks
 
 
-def _field_jacobians(grid, v):
-    """Pointwise d_b v^a of the generator field over the grid (exact zero for
-    constant components; the field's own stencil otherwise).  Chart data on a
-    box is not box-periodic, so wrapping lattice stencils must not touch it;
-    every derivative in the diffeomorphism check is pointwise."""
-    if not isinstance(v, VectorField):
-        return np.zeros(grid.shape + (grid.d, grid.d))
-    pts = grid.coords().reshape(-1, grid.d)
-    n = grid.d
-    step = v._step(grid.manifold)
-    out = np.empty((len(pts), n, n))
-    for k, x in enumerate(pts):
-        out[k] = v.jacobian(x, step)
-    return out.reshape(grid.shape + (n, n))
-
-
 def diffeo_measure_check(manifold, grid, v):
     """Verification of the diffeomorphism-measure identity D Y = h^{n/4} D_L.
 
@@ -552,8 +464,9 @@ def diffeo_measure_check(manifold, grid, v):
     (formula side and measured side, which must cancel), and the identity
     residual.
     """
-    coords = grid.coords()
-    V = _sample(v, coords)
+    field = as_field(v)
+    cb = grid.curvature()
+    V = field(cb.point)
     grid.check_amplitude(V)
     geom = grid.geometry()
     gam, dgam, ric, h = geom["gamma"], geom["dgamma"], geom["ricci"], geom["h"]
@@ -566,8 +479,11 @@ def diffeo_measure_check(manifold, grid, v):
     passive_numeric = float(np.sum(logdet_blocks))
 
     # passive coordinate Jacobian dY^a/dx^b through second order in the
-    # generator (the cubic term's position derivative is O(eps^3))
-    dV = _field_jacobians(grid, v)
+    # generator (the cubic term's position derivative is O(eps^3)).  Chart
+    # data on a box is not box-periodic, so wrapping lattice stencils must not
+    # touch it; every derivative here is pointwise (exact zero for constant
+    # components, the field's own stencil otherwise).
+    dV = field.jacobian(cb.point, field._step(grid.manifold))
     J = (np.eye(grid.d) + dV
          - 0.5 * np.einsum("...bacd,...c,...d->...ab", dgam, V, V)
          - np.einsum("...acd,...cb,...d->...ab", gam, dV, V))
@@ -580,7 +496,7 @@ def diffeo_measure_check(manifold, grid, v):
     sqrt_ratio = 0.5 * float(np.sum(loghY - geom["logh"]))
 
     # covariant formula (the left-exponent), pointwise covariant derivatives
-    covV = dV + np.einsum("...abc,...c->...ab", gam, V)
+    covV = covariant_derivative(grid.manifold, field, cb.point, order=1, curvature=cb)
     divergence, grad_product, ricci_term = left_exponent(covV, ric, V)
     covariant = divergence + grad_product + ricci_term
 

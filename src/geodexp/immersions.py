@@ -159,34 +159,20 @@ class Immersion:
     # -- ambient data along the immersion -------------------------------------
 
     def ambient_metric(self):
-        def build():
-            flat = self.samples.reshape(-1, self.D)
-            out = np.empty((flat.shape[0], self.D, self.D))
-            for k, x in enumerate(flat):
-                out[k] = self.ambient.metric(x)
-            return out.reshape(self.grid.shape + (self.D, self.D))
-        return self._cached("ambient_metric", build)
+        """Ambient h_mn along X(sigma), one metric batch over the grid."""
+        return self._cached("ambient_metric", lambda: self.ambient.metric(self.samples))
 
     def ambient_curvature(self):
-        """Ambient Gamma^m_{nr} and Riemann R^m_{nlr} fields along X(sigma)."""
+        """Ambient Gamma^m_{nr} and Riemann R^m_{nlr} fields along X(sigma),
+        one curvature batch over the grid."""
         def build():
-            flat = self.samples.reshape(-1, self.D)
-            gam = np.empty((flat.shape[0], self.D, self.D, self.D))
-            rie = np.empty((flat.shape[0], self.D, self.D, self.D, self.D))
-            for k, x in enumerate(flat):
-                cb = self.ambient.curvature_at(x)
-                gam[k] = cb.gamma
-                rie[k] = cb.riemann
-            return (gam.reshape(self.grid.shape + (self.D,) * 3),
-                    rie.reshape(self.grid.shape + (self.D,) * 4))
+            cb = self.ambient.curvature_at(self.samples)
+            return cb.gamma, cb.riemann
         return self._cached("ambient_curvature", build)
 
     def ambient_riemann_lower(self):
-        def build():
-            h = self.ambient_metric()
-            _, rie = self.ambient_curvature()
-            return np.einsum("...me,...enlr->...mnlr", h, rie)
-        return self._cached("ambient_riemann_lower", build)
+        return self._cached("ambient_riemann_lower", lambda: np.einsum(
+            "...me,...enlr->...mnlr", self.ambient_metric(), self.ambient_curvature()[1]))
 
     # -- first-order data ------------------------------------------------------
 

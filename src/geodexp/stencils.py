@@ -5,8 +5,9 @@ pointwise partial derivatives.
 order 4 and 6 (Fornberg, Math. Comp. 51, 1988) as ``(offset, weight)``
 pairs.  ``PeriodicLattice`` applies them with index wrap-around on a uniform
 box lattice; Haar chart boxes and immersion parameter grids are both
-instances.  ``partials``/``second_partials`` apply them at a single point of
-any array-valued function (metric derivatives, vector-field Jacobians).
+instances.  ``partials``/``second_partials`` apply them at chart points, one
+or a batch, of any array-valued function (metric derivatives, vector-field
+Jacobians).
 """
 
 from __future__ import annotations
@@ -32,32 +33,33 @@ D2 = {
 
 
 def _moved(x, *moves):
-    """Copy of x with ``x[axis] += delta`` for each ``(axis, delta)``."""
+    """Copy of x with ``x[..., axis] += delta`` for each ``(axis, delta)``."""
     xp = x.copy()
     for axis, delta in moves:
-        xp[axis] += delta
+        xp.T[axis] += delta
     return xp
 
 
 def partials(fn, x, step):
-    """4th-order central d_c fn(x) for every coordinate c, derivative index
-    first: shape (n, *fn(x).shape)."""
+    """4th-order central d_c fn(x) for every coordinate c at the points x,
+    shape (..., n); fn maps them to (..., *tail), and the derivative index
+    follows the point axes: shape (..., n, *tail)."""
     x = np.asarray(x, dtype=float)
     cols = []
-    for c in range(x.size):
+    for c in range(x.shape[-1]):
         acc = 0.0
         for off, wgt in D1[4]:
             acc = acc + wgt * fn(_moved(x, (c, off * step)))
         cols.append(acc / step)
-    return np.array(cols)
+    return np.stack(cols, axis=x.ndim - 1)
 
 
 def second_partials(fn, x, step):
-    """4th-order central d_c d_d fn(x), symmetric in (c, d), derivative
-    indices first: shape (n, n, *fn(x).shape).  Diagonal entries use the D2
-    stencil, mixed ones the product of two D1 stencils."""
+    """4th-order central d_c d_d fn(x), symmetric in (c, d), at the points x:
+    shape (..., n, n, *tail).  Diagonal entries use the D2 stencil, mixed
+    ones the product of two D1 stencils."""
     x = np.asarray(x, dtype=float)
-    n = x.size
+    n = x.shape[-1]
     out = [[None] * n for _ in range(n)]
     for c in range(n):
         acc = 0.0
@@ -72,7 +74,7 @@ def second_partials(fn, x, step):
                     acc = acc + wc * wd * fn(_moved(x, (c, offc * step),
                                                     (d, offd * step)))
             out[c][d] = out[d][c] = acc / (step * step)
-    return np.array(out)
+    return np.stack([np.stack(row, axis=x.ndim - 1) for row in out], axis=x.ndim - 1)
 
 
 class PeriodicLattice:

@@ -6,6 +6,20 @@ from geodexp import immersions as im
 from geodexp import manifolds as mf
 
 
+@pytest.fixture
+def curvature_calls(monkeypatch):
+    """Point shapes of every ManifoldSpec.curvature_at call the test makes."""
+    calls = []
+    curvature_at = mf.ManifoldSpec.curvature_at
+
+    def counting(self, x):
+        calls.append(np.shape(x))
+        return curvature_at(self, x)
+
+    monkeypatch.setattr(mf.ManifoldSpec, "curvature_at", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def sphere():
     return mf.sphere(1.0)

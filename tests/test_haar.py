@@ -138,10 +138,12 @@ def test_coloured_jacobian_matches_columnwise(kind, points):
         M = mf.euclidean(2)
         c1, c2 = np.array([3e-5, -2e-5]), np.array([-1.5e-5, 2.5e-5])
     g = haar.FieldGrid(M, np.zeros(2), 0.6, points)
-    coords = g.coords()
-    V1, V2 = haar._sample(c1, coords), haar._sample(c2, coords)
+    cb = g.curvature()
+    f2 = mf.constant_field(c2)
+    V1, V2 = mf.constant_field(c1)(cb.point), f2(cb.point)
     for side in ("right", "left"):
-        coeffs = haar._pointwise_coeffs(g, c2) if side == "left" else None
+        coeffs = (tuple(mf.covariant_derivative(M, f2, cb.point, order=k, curvature=cb)
+                        for k in (1, 2)) if side == "left" else None)
         ref = _columnwise_jacobian(g, V1, V2, side, coeffs=coeffs)
         jac = haar._dense_jacobian(g, V1, V2, side, coeffs=coeffs)
         assert np.array_equal(jac, ref)
@@ -291,3 +293,17 @@ def test_diffeo_measure_varying_field_slope(sphere_grid):
             step=1e-4)
         errs.append(abs(haar.diffeo_measure_check(S, g, fld)["residual"]))
     assert fit_loglog_slope(scales, errs, floor=1e-13).slope >= 2.7
+
+
+@pytest.mark.parametrize("points", [12, (8, 12)], ids=["12", "8x12"])
+def test_field_grid_makes_one_curvature_batch(curvature_calls, points):
+    S = mf.sphere_normal(1.0)
+    g = haar.FieldGrid(S, np.zeros(2), 0.6, points)
+    c1, c2 = np.array([0.01, -0.0065]), np.array([-0.0055, 0.0085])
+    v1 = mf.VectorField(lambda x: np.array([0.01 + 0.002 * x[1], -0.0065]), step=1e-4)
+    for side in ("right", "left"):
+        haar.product_jacobian_check(S, g, c1, c2, side=side)
+    haar.product_jacobian_check(S, g, v1, c2, side="left")
+    haar.invariance_check(S, g, c1, c2)
+    haar.diffeo_measure_check(S, g, 0.2 * c1)
+    assert curvature_calls == [g.shape + (2,)]

@@ -5,6 +5,8 @@ import pytest
 from pytest import approx
 
 from geodexp import immersions as im
+from geodexp import suites
+from geodexp.config import default_config
 from geodexp.convergence import fit_loglog_slope
 from geodexp.errors import IrregularImmersionError
 
@@ -217,3 +219,10 @@ def test_builtin_immersion_config_roundtrip():
         "ambient": {"builtin": "euclidean", "dim": 2},
     })
     assert tab.metric()[0, 0, 0] == approx(2.25, abs=1e-3)
+
+
+def test_a6_makes_one_curvature_batch_per_immersion(curvature_calls):
+    report = suites.run_suite(default_config(), "immersion")
+    assert [c.id for c in report.checks] == ["A6"] and report.passed
+    assert len(curvature_calls) == 5
+    assert all(len(shape) == 3 and shape[-1] == 3 for shape in curvature_calls)

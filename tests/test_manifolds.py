@@ -199,3 +199,75 @@ def test_expression_entries_are_vetted():
     x = np.array([1.1, 0.4])
     assert np.array_equal(M.metric(x), [[1 + 0.4 ** 2, 0.1 * 1.1],
                                         [0.1 * 1.1, np.sin(1.1) ** 2]])
+
+
+def _polar():
+    return mf.from_expression(2, [["1", "0"], ["0", "x0**2"]],
+                              lower=(0.5, -10.0), upper=(3.0, 10.0), name="polar")
+
+
+def _expr3():
+    return mf.from_expression(3, [["1 + x1**2", "0.1*x0", "0"],
+                                  ["0.1*x0", "2", "0.2*x2"],
+                                  ["0", "0.2*x2", "1 + x0**2"]], name="expr3")
+
+
+# (manifold, low corner, high corner) of a box inside the chart domain,
+# including the finite-difference stencil margin
+_BATCH_CASES = {
+    "euclidean3": (lambda: mf.euclidean(3), (-1.0,) * 3, (1.0,) * 3),
+    "sphere": (lambda: mf.sphere(1.0), (0.3, -3.0), (2.8, 3.0)),
+    "poincare": (lambda: mf.poincare_half_plane(), (-1.0, 0.3), (1.0, 2.0)),
+    "flat_torus": (lambda: mf.flat_torus(2), (0.0, 0.0), (6.0, 6.0)),
+    "sphere_normal": (lambda: mf.sphere_normal(1.0), (-1.0, -1.0), (1.0, 1.0)),
+    "polar": (_polar, (0.8, -2.0), (2.5, 2.0)),
+    "expr3": (_expr3, (-0.5,) * 3, (0.5,) * 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCH_CASES))
+def test_batch_equals_stacked_points(name):
+    make, lo, hi = _BATCH_CASES[name]
+    M = make()
+    X = np.random.default_rng(2024).uniform(lo, hi, size=(5, 7, M.dim))
+    cb = M.curvature_at(X)
+    h, logdet = M.metric_at(X)
+    gamma = M.christoffel(X)
+    for idx in np.ndindex(5, 7):
+        one = M.curvature_at(X[idx])
+        for field in ("point", "gamma", "dgamma", "riemann", "ricci"):
+            assert np.array_equal(getattr(cb, field)[idx], getattr(one, field)), field
+        h1, logdet1 = M.metric_at(X[idx])
+        assert np.array_equal(h[idx], h1) and logdet[idx] == logdet1
+        assert np.array_equal(gamma[idx], M.christoffel(X[idx]))
+    n = M.dim
+    assert one.gamma.shape == (n,) * 3 and one.dgamma.shape == (n,) * 4
+    assert one.riemann.shape == (n,) * 4 and one.ricci.shape == (n, n)
+    assert h1.shape == (n, n) and type(logdet1) is float
+    assert cb.riemann.shape == (5, 7) + (n,) * 4 and logdet.shape == (5, 7)
+
+
+def test_batch_domain_error_names_first_outside_point():
+    M = mf.sphere(1.0, collar=0.1)
+    X = np.random.default_rng(3).uniform((0.5, -1.0), (2.5, 1.0), size=(4, 6, 2))
+    X[1, 2] = (0.05, 0.25)
+    X[3, 0] = (3.1, 0.5)
+    for call in (M.curvature_at, M.metric_at):
+        with pytest.raises(ChartDomainError, match=r"at \(0\.05, 0\.25\)"):
+            call(X)
+    assert not M.domain.contains(X)
+    assert M.domain.contains(X[0])
+    P = _polar()
+    X = np.full((3, 2), 1.5)
+    X[2, 0] = 0.5 + 1e-3         # inside the domain, inside the stencil margin
+    with pytest.raises(ChartDomainError, match=r"stencil leaves chart domain at \(0\.501, 1\.5\)"):
+        P.curvature_at(X)
+
+
+def test_expression_subscripts_bind_coordinates():
+    by_name = mf.from_expression(2, [["1 + x1**2", "0.1*x0"], ["0.1*x0", "exp(x1)*x0"]])
+    by_index = mf.from_expression(2, [["1 + x[1]**2", "0.1*x[0]"], ["0.1*x[0]", "exp(x[1])*x[0]"]])
+    X = np.random.default_rng(5).uniform(0.2, 1.4, size=(3, 4, 2))
+    assert np.array_equal(by_index.metric(X), by_name.metric(X))
+    assert np.array_equal(by_index.metric(X[2, 1]), by_name.metric(X[2, 1]))
+    assert np.array_equal(by_index.metric(X)[2, 1], by_index.metric(X[2, 1]))

@@ -17,6 +17,7 @@ from geodexp.config import default_config
 _RIGHT = haar.right_exponent
 _LEFT = haar.left_exponent
 _ACT = deviations.act_diffeo
+_RIEMANN = manifolds.riemann_from
 
 
 def _left_ricci_over_10(*args, **kwargs):
@@ -52,6 +53,30 @@ def _christoffel_plus(h_inv, dh):
                   + np.einsum("...ad,...dbc->...abc", h_inv, dh))
 
 
+def _group_product_quarter(v1, v2, d1, d2, riemann):
+    """group_product with 1/4 R (v2 + v1/2) v2 v1 in place of 1/3."""
+    return (v1 + v2
+            + np.einsum("...b,...ab->...a", v1, d1)
+            + 0.5 * np.einsum("...b,...c,...abc->...a", v1, v1, d2)
+            + np.einsum("...abcd,...b,...c,...d->...a", riemann,
+                        v2 + 0.5 * v1, v2, v1) / 4.0)
+
+
+def _dchristoffel_chain_half(h_inv, dh, ddh):
+    """dchristoffel_from with its d(h^-1) chain-rule term halved."""
+    dh_inv = -np.einsum("...af,...cfg,...ge->...cae", h_inv, dh, h_inv)
+    bracket = np.einsum("...bed->...ebd", dh) + np.einsum("...deb->...ebd", dh) - dh
+    dbracket = (np.einsum("...cbed->...cebd", ddh) + np.einsum("...cdeb->...cebd", ddh)
+                - ddh)
+    return 0.5 * (0.5 * np.einsum("...cae,...ebd->...cabd", dh_inv, bracket)
+                  + np.einsum("...ae,...cebd->...cabd", h_inv, dbracket))
+
+
+def _riemann_gamma_gamma_plus(gamma, dgamma):
+    """riemann_from with + Gamma^a_{de} Gamma^e_{bc} in place of -."""
+    return _RIEMANN(gamma, dgamma) + 2.0 * np.einsum("...ade,...ebc->...abcd", gamma, gamma)
+
+
 MUTANTS = [
     pytest.param(haar, "right_exponent", lambda *a, **k: -_RIGHT(*a, **k), ("A4",),
                  id="right_exponent-sign"),
@@ -63,6 +88,12 @@ MUTANTS = [
                  id="christoffel_from-plus-dh"),
     pytest.param(deviations, "act_diffeo", _act_diffeo_double_second_form_derivative,
                  ("A7",), id="act_diffeo-second-form-derivative-twice"),
+    pytest.param(manifolds, "group_product", _group_product_quarter, ("A2", "A4"),
+                 id="group_product-curvature-one-quarter"),
+    pytest.param(manifolds, "dchristoffel_from", _dchristoffel_chain_half, ("A1", "A2"),
+                 id="dchristoffel_from-chain-rule-half"),
+    pytest.param(manifolds, "riemann_from", _riemann_gamma_gamma_plus, ("A2", "A4", "A5"),
+                 id="riemann_from-gamma-gamma-plus"),
     # A4 fits one slope over all scales; a 1/5 coefficient leaves a residual
     # that still falls at slope 3.53, above the 2.7 bound
     pytest.param(haar, "right_exponent", lambda *a, **k: _RIGHT(*a, **k) * 6.0 / 5.0,
